@@ -51,6 +51,12 @@ struct TransactionManager::Exec {
       participants.push_back(p);
     }
   }
+
+  /// True for an op of a repartition unit found stale at execution.
+  bool Skipped(const Operation& op) const {
+    return op.repartition_op_id != 0 &&
+           skipped_rep_ops.count(op.repartition_op_id) > 0;
+  }
 };
 
 TransactionManager::TransactionManager(Cluster* cluster)
@@ -131,20 +137,7 @@ void TransactionManager::MaybeDispatch() {
     // that rotted in the queue past their deadline are failed, not run.
     if (!t->is_repartition &&
         sim_->Now() - t->submit_time > cluster_->config().costs.txn_timeout) {
-      t->state = TxnState::kAborted;
-      t->abort_reason = AbortReason::kQueueTimeout;
-      t->finish_time = sim_->Now();
-      counters_.aborted_normal++;
-      counters_.aborts_queue_timeout++;
-      CountAbortMetric(AbortReason::kQueueTimeout);
-      if (t->has_piggyback()) counters_.piggyback_carrier_aborts++;
-      if (m_latency_aborted_) {
-        m_latency_aborted_->RecordMicros(t->finish_time - t->submit_time);
-      }
-      if (Traced(*t)) {
-        tracer_->FinishTxn(t->id, t->submit_time, t->finish_time, 0, false,
-                         KindOf(*t));
-      }
+      RecordAbort(*t, AbortReason::kQueueTimeout, 0);
       if (completion_cb_) completion_cb_(*t);
       continue;
     }
@@ -187,14 +180,13 @@ void TransactionManager::StartTransaction(std::unique_ptr<Transaction> t) {
   if (!txn.ops.empty() || !txn.piggyback_ops.empty()) {
     const Operation& first =
         txn.ops.empty() ? txn.piggyback_ops.front() : txn.ops.front();
-    if (first.kind == OpKind::kRead && replica_aware_) {
-      // Replica-aware mode: coordinate a read-leading transaction from a
-      // live copy, so a crashed primary does not doom read-only work that
-      // replicas could serve.
+    if (first.kind == OpKind::kRead) {
+      // Coordinate a read-leading transaction from a live copy, so a
+      // crashed primary does not doom read-only work replicas could serve.
       Result<router::PartitionId> pick = cluster_->router().PickReadPartition(
           first.key, router::QueryRouter::kNoPreference);
       e->coordinator = pick.ok() ? *pick : 0;
-    } else if (first.kind == OpKind::kRead || first.kind == OpKind::kWrite) {
+    } else if (first.kind == OpKind::kWrite) {
       Result<router::PartitionId> primary =
           cluster_->routing_table().GetPrimary(first.key);
       e->coordinator = primary.ok() ? *primary : 0;
@@ -396,14 +388,12 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
 
   switch (op.kind) {
     case OpKind::kRead: {
-      // Replica-aware mode prefers the copy on the coordinator (turning
-      // would-be distributed reads into local ones) and fails over to a
-      // live replica when the primary is down.
-      Result<router::PartitionId> primary =
-          replica_aware_
-              ? cluster_->router().RouteReadNear(op.key, e->coordinator)
-              : cluster_->router().RouteRead(op.key);
-      const uint32_t p = primary.ok() ? *primary : e->coordinator;
+      // Prefer the copy on the coordinator (turning would-be distributed
+      // reads into local ones); fail over to a live replica when the
+      // primary is down. Unreplicated keys always read the primary.
+      Result<router::PartitionId> copy =
+          cluster_->router().RouteReadNear(op.key, e->coordinator);
+      const uint32_t p = copy.ok() ? *copy : e->coordinator;
       if (cluster_->node(p).down()) {
         AbortTransaction(e, AbortReason::kNodeCrash);
         return;
@@ -454,28 +444,37 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
                                JobClass::kBulk, advance);
       return;
     }
-    case OpKind::kMigrateInsert: {
-      // Stale-plan guard: if the tuple already moved (another transaction
-      // applied this plan unit), skip the whole repartition operation.
-      // A degenerate self-migration (source == target, which no sane plan
-      // emits) is likewise a no-op — applying it would erase the tuple's
-      // only copy at commit.
-      Result<router::PartitionId> primary = routing.GetPrimary(op.key);
-      if (!primary.ok() || *primary != op.source_partition ||
-          op.source_partition == op.target_partition) {
-        e->skipped_rep_ops.insert(op.repartition_op_id);
-        advance();
-        return;
+    case OpKind::kMigrateInsert:
+    case OpKind::kReplicaCreate:
+    case OpKind::kLeaderShift: {
+      // Staged copy: capture the tuple at the source now, install it at
+      // the target in phase 2. Stale-plan guard: when another transaction
+      // already applied or raced this plan unit, skip the whole unit.
+      uint32_t src = op.source_partition;
+      const uint32_t dst = op.target_partition;
+      Result<router::Placement> placement = routing.GetPlacement(op.key);
+      bool current = placement.ok();
+      if (current && op.kind == OpKind::kReplicaCreate) {
+        // Copy from the current primary unless the target has a copy.
+        src = placement->primary;
+        current = !placement->HasReplicaOn(dst);
+      } else if (current) {
+        // The source must still lead, and a shift's target must still
+        // hold the replica being promoted. A self-move (which no sane
+        // plan emits) is a no-op: a self-migration would erase the
+        // tuple's only copy at commit.
+        current = placement->primary == src && src != dst &&
+                  (op.kind != OpKind::kLeaderShift ||
+                   placement->HasReplicaOn(dst));
       }
-      Result<storage::Tuple> tuple =
-          cluster_->storage(op.source_partition).Read(op.key);
+      Result<storage::Tuple> tuple = Status::NotFound("stale plan unit");
+      if (current) tuple = cluster_->storage(src).Read(op.key);
       if (!tuple.ok()) {
         e->skipped_rep_ops.insert(op.repartition_op_id);
         advance();
         return;
       }
-      const uint32_t src = op.source_partition;
-      const uint32_t dst = op.target_partition;
+      op.source_partition = src;
       if (cluster_->node(src).down() || cluster_->node(dst).down()) {
         AbortTransaction(e, AbortReason::kNodeCrash);
         return;
@@ -484,7 +483,17 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
       e->AddParticipant(src);
       e->AddParticipant(dst);
       const WorkCategory cat = CategoryFor(e, op);
-      const Duration service = costs.migrate_insert;
+      if (op.kind == OpKind::kLeaderShift) {
+        // No data moves: the target already stores the bytes. The staged
+        // content lets phase 2 write a WAL refresh record at the new
+        // leader, so replaying its WAL reproduces the promoted copy.
+        cluster_->node(dst).RunJob(costs.leader_shift, cat, JobClass::kBulk,
+                                   advance);
+        return;
+      }
+      const Duration service = op.kind == OpKind::kMigrateInsert
+                                   ? costs.migrate_insert
+                                   : costs.replica_create;
       cluster_->network().SendWithFailure(
           src, dst, storage::Tuple::kWireSize,
           [this, e, dst, cat, service, advance]() {
@@ -517,48 +526,6 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
                   JobClass::kBulk, advance);
       return;
     }
-    case OpKind::kReplicaCreate: {
-      Result<router::Placement> placement = routing.GetPlacement(op.key);
-      if (!placement.ok() || placement->HasReplicaOn(op.target_partition)) {
-        e->skipped_rep_ops.insert(op.repartition_op_id);
-        advance();
-        return;
-      }
-      Result<storage::Tuple> tuple =
-          cluster_->storage(placement->primary).Read(op.key);
-      if (!tuple.ok()) {
-        e->skipped_rep_ops.insert(op.repartition_op_id);
-        advance();
-        return;
-      }
-      op.source_partition = placement->primary;
-      const uint32_t dst = op.target_partition;
-      if (cluster_->node(op.source_partition).down() ||
-          cluster_->node(dst).down()) {
-        AbortTransaction(e, AbortReason::kNodeCrash);
-        return;
-      }
-      e->staged[op.key] = *tuple;
-      e->AddParticipant(op.source_partition);
-      e->AddParticipant(dst);
-      const WorkCategory cat = CategoryFor(e, op);
-      cluster_->network().SendWithFailure(
-          op.source_partition, dst, storage::Tuple::kWireSize,
-          [this, e, dst, cat, advance]() {
-            if (e->done) return;
-            if (cluster_->node(dst).down()) {
-              AbortTransaction(e, AbortReason::kNodeCrash);
-              return;
-            }
-            cluster_->node(dst).RunJob(
-                cluster_->config().costs.replica_create, cat,
-                JobClass::kBulk, advance);
-          },
-          [this, e]() {
-            if (!e->done) AbortTransaction(e, AbortReason::kNodeCrash);
-          });
-      return;
-    }
     case OpKind::kReplicaDelete: {
       Result<router::Placement> placement = routing.GetPlacement(op.key);
       if (!placement.ok() ||
@@ -578,43 +545,6 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
                   JobClass::kBulk, advance);
       return;
     }
-    case OpKind::kLeaderShift: {
-      // Stale-plan guards: the source must still be the primary and the
-      // target must still hold the replica being promoted; anything else
-      // means another transaction raced this plan unit (a concurrent
-      // migration, drop, or failover promotion) and the swap is skipped.
-      Result<router::Placement> placement = routing.GetPlacement(op.key);
-      if (!placement.ok() || placement->primary != op.source_partition ||
-          !placement->HasReplicaOn(op.target_partition) ||
-          op.source_partition == op.target_partition) {
-        e->skipped_rep_ops.insert(op.repartition_op_id);
-        advance();
-        return;
-      }
-      Result<storage::Tuple> tuple =
-          cluster_->storage(op.source_partition).Read(op.key);
-      if (!tuple.ok()) {
-        e->skipped_rep_ops.insert(op.repartition_op_id);
-        advance();
-        return;
-      }
-      const uint32_t src = op.source_partition;
-      const uint32_t dst = op.target_partition;
-      if (cluster_->node(src).down() || cluster_->node(dst).down()) {
-        AbortTransaction(e, AbortReason::kNodeCrash);
-        return;
-      }
-      // No data moves — the target already stores the bytes. The primary's
-      // current content is staged so phase 2 can write a WAL refresh
-      // record at the new leader, making the swap crash-safe: replaying
-      // the target's WAL reproduces the promoted copy exactly.
-      e->staged[op.key] = *tuple;
-      e->AddParticipant(src);
-      e->AddParticipant(dst);
-      cluster_->node(dst).RunJob(costs.leader_shift, CategoryFor(e, op),
-                                 JobClass::kBulk, advance);
-      return;
-    }
   }
 }
 
@@ -626,32 +556,21 @@ void TransactionManager::BeginCommit(const ExecPtr& e) {
   // migration can move these tuples anymore — but one may have moved them
   // between query execution and now. Re-resolve each write's partition so
   // the commit applies at the tuple's current home (and joins it to the
-  // participant set).
+  // participant set). Synchronous log shipping: every live replica holder
+  // of a written key joins too and applies the write in phase 2, so copies
+  // commit in lockstep with the primary. Down replicas are skipped — they
+  // catch up from the primary on restart.
   for (Operation& op : txn.ops) {
     if (op.kind != OpKind::kWrite) continue;
-    if (replica_aware_) {
-      // Synchronous log shipping: every live replica holder of a written
-      // key joins the participant set and applies the write in phase 2,
-      // so copies commit in lockstep with the primary. Down replicas are
-      // skipped — they catch up from the primary on restart.
-      Result<router::Placement> placement =
-          cluster_->routing_table().GetPlacement(op.key);
-      if (placement.ok()) {
-        if (placement->primary != op.source_partition) {
-          op.source_partition = placement->primary;
-          e->AddParticipant(placement->primary);
-        }
-        for (router::PartitionId rep : placement->replicas) {
-          if (!cluster_->node(rep).down()) e->AddParticipant(rep);
-        }
-      }
-      continue;
+    Result<router::Placement> placement =
+        cluster_->routing_table().GetPlacement(op.key);
+    if (!placement.ok()) continue;
+    if (placement->primary != op.source_partition) {
+      op.source_partition = placement->primary;
+      e->AddParticipant(placement->primary);
     }
-    Result<router::PartitionId> primary =
-        cluster_->routing_table().GetPrimary(op.key);
-    if (primary.ok() && *primary != op.source_partition) {
-      op.source_partition = *primary;
-      e->AddParticipant(*primary);
+    for (router::PartitionId rep : placement->replicas) {
+      if (!cluster_->node(rep).down()) e->AddParticipant(rep);
     }
   }
 
@@ -748,10 +667,6 @@ Status TransactionManager::ApplyAtPartition(const ExecPtr& e,
     if (!s.ok() && first_error.ok()) first_error = std::move(s);
   };
   const size_t total = TotalOps(e);
-  auto skipped = [&e](const Operation& op) {
-    return op.repartition_op_id != 0 &&
-           e->skipped_rep_ops.count(op.repartition_op_id) > 0;
-  };
   // Does this transaction itself deploy a copy of `key` onto this
   // partition (piggybacked migrate / replica-create)? A carrier can both
   // write a key and carry that key's deployment; the staged copy was
@@ -762,7 +677,7 @@ Status TransactionManager::ApplyAtPartition(const ExecPtr& e,
   auto deploys_copy_here = [&](storage::TupleKey key) {
     for (size_t i = 0; i < total; ++i) {
       const Operation& op = OpAt(e, i);
-      if (skipped(op)) continue;
+      if (e->Skipped(op)) continue;
       if ((op.kind == OpKind::kMigrateInsert ||
            op.kind == OpKind::kReplicaCreate) &&
           op.key == key && op.target_partition == partition) {
@@ -774,7 +689,7 @@ Status TransactionManager::ApplyAtPartition(const ExecPtr& e,
   // Pass 1: install staged copies at migrate / replica-create targets.
   for (size_t i = 0; i < total; ++i) {
     Operation& op = OpAt(e, i);
-    if (skipped(op)) continue;
+    if (e->Skipped(op)) continue;
     if (op.kind != OpKind::kMigrateInsert &&
         op.kind != OpKind::kReplicaCreate) {
       continue;
@@ -806,7 +721,7 @@ Status TransactionManager::ApplyAtPartition(const ExecPtr& e,
   // the key's exclusive lock.
   for (size_t i = 0; i < total; ++i) {
     Operation& op = OpAt(e, i);
-    if (skipped(op) || op.kind != OpKind::kLeaderShift) continue;
+    if (e->Skipped(op) || op.kind != OpKind::kLeaderShift) continue;
     if (op.target_partition != partition) continue;
     auto staged = e->staged.find(op.key);
     if (staged == e->staged.end()) {
@@ -824,13 +739,12 @@ Status TransactionManager::ApplyAtPartition(const ExecPtr& e,
   // the routing flip (Zephyr-style late source cleanup).
   for (size_t i = 0; i < total; ++i) {
     Operation& op = OpAt(e, i);
-    if (skipped(op) || op.kind != OpKind::kWrite) continue;
-    bool applies_here = op.source_partition == partition;
-    if (!applies_here) applies_here = deploys_copy_here(op.key);
-    if (!applies_here && replica_aware_) {
+    if (e->Skipped(op) || op.kind != OpKind::kWrite) continue;
+    bool applies_here =
+        op.source_partition == partition || deploys_copy_here(op.key);
+    if (!applies_here) {
       // Shipped log apply: a replica holder applies the write during
-      // its own phase 2 (write-through in ApplyRoutingUpdates skips
-      // partitions that already applied).
+      // its own phase 2.
       Result<router::Placement> placement =
           cluster_->routing_table().GetPlacement(op.key);
       applies_here = placement.ok() && placement->primary != partition &&
@@ -876,30 +790,23 @@ void TransactionManager::ApplyRoutingUpdates(const ExecPtr& e) {
   const size_t total = TotalOps(e);
   for (size_t i = 0; i < total; ++i) {
     Operation& op = OpAt(e, i);
-    if (op.repartition_op_id != 0 &&
-        e->skipped_rep_ops.count(op.repartition_op_id) > 0) {
-      continue;
-    }
+    if (e->Skipped(op)) continue;
     switch (op.kind) {
       case OpKind::kRead:
         break;
       case OpKind::kWrite: {
-        // Write-through to any HA replicas so copies stay identical.
+        // Live replicas applied the write in their phase 2; down replicas
+        // must not be touched — the restart catch-up sweep repairs them.
+        // A holder that came back up since commit began gets it here.
         Result<router::Placement> placement = routing.GetPlacement(op.key);
-        if (placement.ok() && !placement->replicas.empty()) {
-          for (router::PartitionId rep : placement->replicas) {
-            if (replica_aware_) {
-              // Live replicas already applied in their phase 2; down
-              // replicas must not be touched — their divergence is
-              // repaired by the restart catch-up sweep.
-              if (e->applied_partitions.count(rep) > 0) continue;
-              if (cluster_->node(rep).down()) continue;
-            }
-            Status s = cluster_->storage(rep).ApplyUpdate(
-                txn.id, op.key, op.write_value,
-                cluster_->mvcc_enabled() ? sim_->Now() : 0);
-            (void)s;  // replica divergence is surfaced by CheckConsistency
-          }
+        if (!placement.ok()) break;
+        for (router::PartitionId rep : placement->replicas) {
+          if (e->applied_partitions.count(rep) > 0) continue;
+          if (cluster_->node(rep).down()) continue;
+          Status s = cluster_->storage(rep).ApplyUpdate(
+              txn.id, op.key, op.write_value,
+              cluster_->mvcc_enabled() ? sim_->Now() : 0);
+          (void)s;  // replica divergence is surfaced by CheckConsistency
         }
         break;
       }
@@ -998,23 +905,19 @@ void TransactionManager::FinishCommit(const ExecPtr& e) {
   ApplyRoutingUpdates(e);
 
   // Count applied repartition operations (distinct plan units).
-  std::unordered_set<uint64_t> applied_main;
-  for (const Operation& op : txn.ops) {
-    if (op.repartition_op_id != 0 &&
-        e->skipped_rep_ops.count(op.repartition_op_id) == 0) {
-      applied_main.insert(op.repartition_op_id);
+  auto applied_units = [&e](const std::vector<Operation>& ops) {
+    std::unordered_set<uint64_t> units;
+    for (const Operation& op : ops) {
+      if (op.repartition_op_id != 0 && !e->Skipped(op)) {
+        units.insert(op.repartition_op_id);
+      }
     }
-  }
-  std::unordered_set<uint64_t> applied_piggyback;
-  for (const Operation& op : txn.piggyback_ops) {
-    if (op.repartition_op_id != 0 &&
-        e->skipped_rep_ops.count(op.repartition_op_id) == 0) {
-      applied_piggyback.insert(op.repartition_op_id);
-    }
-  }
+    return units.size();
+  };
+  const size_t applied_piggyback = applied_units(txn.piggyback_ops);
   counters_.repartition_ops_applied +=
-      applied_main.size() + applied_piggyback.size();
-  counters_.piggybacked_ops_applied += applied_piggyback.size();
+      applied_units(txn.ops) + applied_piggyback;
+  counters_.piggybacked_ops_applied += applied_piggyback;
 
   // Install committed versions while the write locks are still held —
   // released waiters run synchronously from ReleaseAll, and their
@@ -1084,12 +987,17 @@ void TransactionManager::FinishCommit(const ExecPtr& e) {
 
 void TransactionManager::AbortTransaction(const ExecPtr& e,
                                           AbortReason reason) {
-  Transaction& txn = *e->txn;
   if (e->timeout_event != sim::kInvalidEventId) {
     sim_->Cancel(e->timeout_event);
     e->timeout_event = sim::kInvalidEventId;
   }
-  cluster_->lock_manager().ReleaseAll(txn.id);
+  cluster_->lock_manager().ReleaseAll(e->txn->id);
+  RecordAbort(*e->txn, reason, e->coordinator);
+  CompleteTransaction(e);
+}
+
+void TransactionManager::RecordAbort(Transaction& txn, AbortReason reason,
+                                     uint32_t coordinator) {
   txn.state = TxnState::kAborted;
   txn.abort_reason = reason;
   txn.finish_time = sim_->Now();
@@ -1131,10 +1039,9 @@ void TransactionManager::AbortTransaction(const ExecPtr& e,
     m_latency_aborted_->RecordMicros(txn.finish_time - txn.submit_time);
   }
   if (Traced(txn)) {
-    tracer_->FinishTxn(txn.id, txn.submit_time, txn.finish_time,
-                       e->coordinator, false, KindOf(txn));
+    tracer_->FinishTxn(txn.id, txn.submit_time, txn.finish_time, coordinator,
+                       false, KindOf(txn));
   }
-  CompleteTransaction(e);
 }
 
 void TransactionManager::OnNodeCrash(uint32_t node) {
@@ -1172,29 +1079,7 @@ void TransactionManager::DrainQueue(txn::AbortReason reason) {
   // the queue stays empty.
   while (!queue_.Empty()) {
     std::unique_ptr<Transaction> t = queue_.Pop();
-    t->state = TxnState::kAborted;
-    t->abort_reason = reason;
-    t->finish_time = sim_->Now();
-    if (history_ != nullptr) history_->OnAbort(*t);
-    if (t->is_repartition) {
-      counters_.aborted_repartition++;
-    } else {
-      counters_.aborted_normal++;
-      if (t->has_piggyback()) counters_.piggyback_carrier_aborts++;
-    }
-    if (reason == AbortReason::kShutdown) {
-      counters_.aborts_shutdown++;
-    } else if (reason == AbortReason::kNodeCrash) {
-      counters_.aborts_node_crash++;
-    }
-    CountAbortMetric(reason);
-    if (m_latency_aborted_) {
-      m_latency_aborted_->RecordMicros(t->finish_time - t->submit_time);
-    }
-    if (Traced(*t)) {
-      tracer_->FinishTxn(t->id, t->submit_time, t->finish_time, 0, false,
-                         KindOf(*t));
-    }
+    RecordAbort(*t, reason, 0);
     if (completion_cb_) completion_cb_(*t);
   }
 }

@@ -2,7 +2,9 @@
 // queue, drives their execution as a per-transaction state machine over the
 // simulator (routing -> locking -> per-query node work -> 2PC), and reports
 // completions. Repartition side effects (storage moves + routing updates)
-// are applied atomically with the owning transaction's commit.
+// are applied atomically with the owning transaction's commit. Writes to
+// replicated keys ship synchronously: every live copy holder joins the
+// 2PC participant set and applies the write in phase 2.
 
 #ifndef SOAP_CLUSTER_TRANSACTION_MANAGER_H_
 #define SOAP_CLUSTER_TRANSACTION_MANAGER_H_
@@ -100,16 +102,6 @@ class TransactionManager {
   void set_pre_execution_hook(PreExecutionHook hook) {
     pre_execution_hook_ = std::move(hook);
   }
-
-  /// Turns on replica-aware execution (the soap::replica subsystem):
-  /// reads route to the nearest live copy with the coordinator as the
-  /// collocation hint, and writes to replicated keys ship synchronously —
-  /// every live replica holder joins the 2PC participant set and applies
-  /// the write in phase 2, while down replicas are skipped (they catch up
-  /// on restart). Off by default; when off, execution takes exactly the
-  /// pre-replication code paths.
-  void EnableReplicaAwareness() { replica_aware_ = true; }
-  bool replica_aware() const { return replica_aware_; }
 
   /// Attaches the consistency checker's history recorder: reads, commits
   /// and aborts are reported to it (storage applies flow in separately via
@@ -214,6 +206,11 @@ class TransactionManager {
   /// racing first-updater-wins probe cannot miss the conflict.
   void InstallVersions(const ExecPtr& e, SimTime commit_ts);
   void AbortTransaction(const ExecPtr& e, txn::AbortReason reason);
+  /// The one abort ending, shared by executing and still-queued
+  /// transactions: sets the outcome and feeds the counters, metrics,
+  /// tracer and history. Callers own lock release and completion.
+  void RecordAbort(txn::Transaction& txn, txn::AbortReason reason,
+                   uint32_t coordinator);
   void CompleteTransaction(const ExecPtr& e);
 
   txn::Operation& OpAt(const ExecPtr& e, size_t index);
@@ -255,8 +252,6 @@ class TransactionManager {
   std::unordered_map<txn::TxnId, ExecPtr> inflight_;
   size_t inflight_normal_or_high_ = 0;
   size_t inflight_low_ = 0;
-  bool dispatch_scheduled_ = false;
-  bool replica_aware_ = false;
   check::HistoryRecorder* history_ = nullptr;
   check::BreakMode check_break_ = check::BreakMode::kNone;
   uint64_t check_breaks_fired_ = 0;

@@ -42,7 +42,7 @@ void FeedbackScheduler::OnPlanReady() {
     for (uint64_t rid = 1; rid <= env_.registry->size(); ++rid) {
       const RepartitionTxn* rt = env_.registry->Get(rid);
       total_cost += rt->cost;
-      for (const repartition::RepartitionOp& op : rt->ops) {
+      for (const repartition::PlacementAction& op : rt->ops) {
         total_op_cost +=
             static_cast<double>(env_.cost_model->PiggybackedOpCost(op));
         ++total_ops;

@@ -35,7 +35,7 @@ struct RepartitionTxn {
   uint64_t rid = 0;  ///< registry id, 1-based
   /// The normal transaction template that benefits (Algorithm 1's t_i).
   uint32_t beneficiary_template = 0;
-  std::vector<repartition::RepartitionOp> ops;
+  std::vector<repartition::PlacementAction> ops;
   double benefit = 0.0;   ///< T_benefit value for the group
   double cost = 0.0;      ///< Cost(r_i, O), node-work microseconds
   double density = 0.0;   ///< benefit / cost (cpr_i)

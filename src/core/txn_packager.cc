@@ -14,7 +14,7 @@ std::vector<RepartitionTxn> TxnPackager::PackageExtreme(
     const router::RoutingTable& routing, PackagingMode mode) const {
   // Per-op benefit, as in Algorithm 1 lines 1-9, so the ablation modes
   // still rank sensibly.
-  auto benefit_of = [&](const repartition::RepartitionOp& op) {
+  auto benefit_of = [&](const repartition::PlacementAction& op) {
     double benefit = 0.0;
     for (uint32_t t : op.affected_templates) {
       const Duration gain = optimizer.TemplateGain(t, routing);
@@ -63,7 +63,7 @@ std::vector<RepartitionTxn> TxnPackager::PackageGrouped(
     const workload::WorkloadHistory& history,
     const repartition::Optimizer& optimizer,
     const router::RoutingTable& routing, PackagingMode mode) const {
-  auto benefit_of = [&](const repartition::RepartitionOp& op) {
+  auto benefit_of = [&](const repartition::PlacementAction& op) {
     double benefit = 0.0;
     for (uint32_t t : op.affected_templates) {
       const Duration gain = optimizer.TemplateGain(t, routing);
@@ -75,15 +75,15 @@ std::vector<RepartitionTxn> TxnPackager::PackageGrouped(
   };
 
   // Order plan units by key so range runs are maximal.
-  std::vector<const repartition::RepartitionOp*> ordered;
+  std::vector<const repartition::PlacementAction*> ordered;
   ordered.reserve(plan.size());
   for (const auto& op : plan.ops) ordered.push_back(&op);
   std::sort(ordered.begin(), ordered.end(),
             [](const auto* a, const auto* b) { return a->key < b->key; });
 
   constexpr uint64_t kHashBuckets = 64;
-  auto group_of = [&](const repartition::RepartitionOp& op,
-                      const repartition::RepartitionOp* prev,
+  auto group_of = [&](const repartition::PlacementAction& op,
+                      const repartition::PlacementAction* prev,
                       uint64_t prev_group) -> uint64_t {
     if (mode == PackagingMode::kPerHashBucket) {
       // Splitmix-style avalanche on the key.
@@ -101,8 +101,8 @@ std::vector<RepartitionTxn> TxnPackager::PackageGrouped(
     return prev_group + 1;
   };
 
-  std::map<uint64_t, std::vector<const repartition::RepartitionOp*>> groups;
-  const repartition::RepartitionOp* prev = nullptr;
+  std::map<uint64_t, std::vector<const repartition::PlacementAction*>> groups;
+  const repartition::PlacementAction* prev = nullptr;
   uint64_t current_group = 0;
   for (const auto* op : ordered) {
     current_group = group_of(*op, prev, current_group);
@@ -195,14 +195,14 @@ std::vector<RepartitionTxn> TxnPackager::PackageAndRank(
   result.reserve(group_benefit.size());
   for (const auto& [t, benefit_in] : group_benefit) {
     double benefit = benefit_in;
-    std::vector<repartition::RepartitionOp> ops;
+    std::vector<repartition::PlacementAction> ops;
     for (size_t k : top[t]) {
       if (claimed[k]) {
         benefit -= op_benefit[k];  // line 20
         continue;
       }
       claimed[k] = true;
-      repartition::RepartitionOp op = plan.ops[k];
+      repartition::PlacementAction op = plan.ops[k];
       op.benefit = op_benefit[k];
       ops.push_back(std::move(op));
     }
@@ -219,7 +219,7 @@ std::vector<RepartitionTxn> TxnPackager::PackageAndRank(
   // Plan units benefiting no tracked template (e.g. cold templates with
   // zero gain) must still be executed: package the leftovers one
   // transaction per affected template so the plan always completes.
-  std::unordered_map<uint32_t, std::vector<repartition::RepartitionOp>>
+  std::unordered_map<uint32_t, std::vector<repartition::PlacementAction>>
       leftovers;
   for (size_t k = 0; k < plan.ops.size(); ++k) {
     if (claimed[k]) continue;

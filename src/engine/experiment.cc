@@ -277,14 +277,12 @@ ExperimentResult Experiment::Run() {
       MakeScheduler(config_.deployment.strategy, config_.deployment.feedback, config_.deployment.piggyback),
       repartition::OptimizerConfig{}, config_.deployment.packaging);
 
-  // --- Primary-copy replication (off by default; with it the TM ships
-  // writes to replica holders, reads route to the nearest live copy, and
-  // crashes trigger the failover/catch-up protocol in ReplicaManager).
+  // --- Primary-copy replication (off by default; with it the planner
+  // creates replicas, which the TM ships writes to and routes reads to,
+  // and crashes trigger the failover/catch-up protocol in ReplicaManager).
   std::unique_ptr<replica::ReplicaManager> replica_mgr;
   if (config_.replicas.enabled) {
     result.replicas_enabled = true;
-    tm.EnableReplicaAwareness();
-    cluster.router().set_policy(router::ReplicaPolicy::kNearestLive);
     replica::ReplicaManagerConfig rc;
     rc.promotion_delay = config_.replicas.promotion_delay;
     rc.catchup_fixed = config_.replicas.catchup_fixed;

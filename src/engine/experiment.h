@@ -172,7 +172,7 @@ struct ReplicaOptions {
   bool drop_stale_replicas = true;
   /// Failure-detection delay before crashed primaries fail over to a
   /// surviving replica. During the window reads are served by replicas
-  /// (kNearestLive routing); writes to the dead primary abort.
+  /// (nearest-live-copy routing); writes to the dead primary abort.
   Duration promotion_delay = Millis(500);
   /// Catch-up sweep cost on a restarted node (fixed + per stored tuple).
   Duration catchup_fixed = Millis(50);

@@ -57,17 +57,15 @@ std::string FlagTable::Help(std::string_view program,
                                     "obs",     "check",    "faults",
                                     "general"};
   for (const FlagDef& def : defs_) {
-    const std::string g = def.group.empty() ? "general" : def.group;
-    if (std::find(order.begin(), order.end(), g) == order.end()) {
-      order.push_back(g);
+    if (std::find(order.begin(), order.end(), def.group) == order.end()) {
+      order.push_back(def.group);
     }
   }
   for (const std::string& group : order) {
     bool heading = false;
     for (const FlagDef& def : defs_) {
       if (def.hidden) continue;
-      const std::string g = def.group.empty() ? "general" : def.group;
-      if (g != group) continue;
+      if (def.group != group) continue;
       if (!heading) {
         os << "\n" << group << ":\n";
         heading = true;
@@ -183,9 +181,11 @@ FlagTable ExperimentFlagTable() {
                       c->deployment.strategy = SchedulingStrategy::kHybrid;
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "deployment"});
   defs.push_back({"alpha", FlagType::kDouble, "1.0",
-                  "fraction of templates starting distributed", nullptr});
+                  "fraction of templates starting distributed",
+                  nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"workload", FlagType::kString, "zipf", "zipf|uniform",
                   [](F f, C c) -> Status {
                     const double alpha = f.GetDouble("alpha", 1.0);
@@ -201,7 +201,8 @@ FlagTable ExperimentFlagTable() {
                       c->workload_options.spec = workload::WorkloadSpec::Uniform(alpha);
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"templates", FlagType::kInt, "paper",
                   "distinct transaction templates",
                   [](F f, C c) -> Status {
@@ -210,26 +211,19 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint32_t>(f.GetInt("templates"));
                     }
                     return Status::OK();
-                  }});
-  defs.push_back({"keys", FlagType::kInt, "paper", "tuples in the table",
+                  },
+                  /*hidden=*/false, "workload"});
+  defs.push_back({"keys", FlagType::kInt, "paper",
+                  "tuples in the table (above --sketch_threshold the stack "
+                  "switches to lazy storage and sketch-based planning)",
                   [](F f, C c) -> Status {
                     if (f.Has("keys")) {
                       c->workload_options.spec.num_keys =
                           static_cast<uint64_t>(f.GetInt("keys"));
                     }
                     return Status::OK();
-                  }});
-  defs.push_back({"num_keys", FlagType::kInt, "paper",
-                  "tuples in the table (alias of --keys; above "
-                  "--sketch_threshold the stack switches to lazy storage "
-                  "and sketch-based planning)",
-                  [](F f, C c) -> Status {
-                    if (f.Has("num_keys")) {
-                      c->workload_options.spec.num_keys =
-                          static_cast<uint64_t>(f.GetInt("num_keys"));
-                    }
-                    return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"sketch_threshold", FlagType::kInt, "1000000",
                   "largest keyspace that keeps the exact per-tuple paths; "
                   "above it storage bases go lazy and the planner's graph "
@@ -240,7 +234,8 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint64_t>(f.GetInt("sketch_threshold"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"sketch_topk", FlagType::kInt, "4096",
                   "hot tuples tracked exactly by the planner in sketch mode",
                   [](F f, C c) -> Status {
@@ -249,7 +244,8 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint32_t>(f.GetInt("sketch_topk"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"load", FlagType::kString, "high",
                   "high|low, or a raw utilisation number",
                   [](F f, C c) -> Status {
@@ -266,7 +262,8 @@ FlagTable ExperimentFlagTable() {
                       }
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"isolation", FlagType::kString, "readcommitted",
                   "readcommitted|serializable",
                   [](F f, C c) -> Status {
@@ -282,7 +279,8 @@ FlagTable ExperimentFlagTable() {
                           cluster::IsolationLevel::kSerializable;
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "cluster"});
   defs.push_back({"cc", FlagType::kString, "2pl",
                   "2pl|mvcc: concurrency control (mvcc = snapshot reads "
                   "off version chains, lock-free read path, "
@@ -297,100 +295,116 @@ FlagTable ExperimentFlagTable() {
                       return Status::InvalidArgument("unknown --cc " + v);
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "cluster"});
   defs.push_back({"warmup", FlagType::kInt, "10", "warmup intervals",
                   [](F f, C c) -> Status {
                     c->warmup_intervals =
                         static_cast<uint32_t>(f.GetInt("warmup", 10));
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "deployment"});
   defs.push_back({"intervals", FlagType::kInt, "125", "measured intervals",
                   [](F f, C c) -> Status {
                     c->measured_intervals =
                         static_cast<uint32_t>(f.GetInt("intervals", 125));
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "deployment"});
   defs.push_back({"sp", FlagType::kDouble, "1.05",
                   "feedback setpoint (total/normal cost ratio)",
                   [](F f, C c) -> Status {
                     c->deployment.feedback.sp = f.GetDouble("sp", 1.05);
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "deployment"});
   defs.push_back({"seed", FlagType::kInt, "1", "RNG seed",
                   [](F f, C c) -> Status {
                     c->seed = static_cast<uint64_t>(f.GetInt("seed", 1));
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "general"});
   defs.push_back({"record-trace", FlagType::kString, "",
                   "save the arrival stream for replay",
                   [](F f, C c) -> Status {
                     c->workload_options.record_trace_path = f.GetString("record-trace", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"replay-trace", FlagType::kString, "",
                   "drive the run from a recorded trace",
                   [](F f, C c) -> Status {
                     c->workload_options.replay_trace_path = f.GetString("replay-trace", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"metrics_out", FlagType::kString, "",
                   "Prometheus text dump of the run's metrics",
                   [](F f, C c) -> Status {
                     c->obs.metrics_out = f.GetString("metrics_out", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"metrics_jsonl", FlagType::kString, "",
                   "per-interval JSONL metric snapshots",
                   [](F f, C c) -> Status {
                     c->obs.metrics_jsonl_out =
                         f.GetString("metrics_jsonl", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"trace_out", FlagType::kString, "",
                   "Chrome trace JSON (Perfetto-loadable)",
                   [](F f, C c) -> Status {
                     c->obs.trace_out = f.GetString("trace_out", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"trace_sample", FlagType::kInt, "1",
                   "trace every n-th transaction",
                   [](F f, C c) -> Status {
                     c->obs.trace_sample =
                         static_cast<uint32_t>(f.GetInt("trace_sample", 1));
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"audit_out", FlagType::kString, "",
                   "decision audit log JSONL (replans, plan ops, deploys)",
                   [](F f, C c) -> Status {
                     c->obs.audit_out = f.GetString("audit_out", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"timeline_out", FlagType::kString, "",
                   "per-partition timeline JSONL (load, queues, flows)",
                   [](F f, C c) -> Status {
                     c->obs.timeline_out = f.GetString("timeline_out", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"timeline_interval", FlagType::kInt, "1",
                   "snapshot the timeline every n-th interval",
                   [](F f, C c) -> Status {
                     c->obs.timeline_interval = static_cast<uint32_t>(
                         f.GetInt("timeline_interval", 1));
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "obs"});
   defs.push_back({"fault_spec", FlagType::kString, "",
                   "inject faults, e.g. 'crash:node=2,at=120s,down=15s;"
                   "drop:p=0.01' (see EXPERIMENTS.md)",
                   [](F f, C c) -> Status {
                     c->fault_options.spec = f.GetString("fault_spec", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "faults"});
   defs.push_back({"planner", FlagType::kBool, "off",
                   "enable the online co-access-graph planner",
                   [](F f, C c) -> Status {
                     if (f.GetBool("planner")) c->planner_options.enabled = true;
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"replan", FlagType::kInt, "3",
                   "planner replan period in intervals",
                   [](F f, C c) -> Status {
@@ -399,7 +413,8 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint32_t>(f.GetInt("replan"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"plan_ops", FlagType::kInt, "2048",
                   "max repartition ops per emitted plan",
                   [](F f, C c) -> Status {
@@ -408,7 +423,8 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint32_t>(f.GetInt("plan_ops"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"plan_min_heat", FlagType::kInt, "1",
                   "min co-access weight to move a key",
                   [](F f, C c) -> Status {
@@ -417,13 +433,17 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint64_t>(f.GetInt("plan_min_heat"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "planner"});
   defs.push_back({"drift_phases", FlagType::kInt, "3",
-                  "number of drift phases", nullptr});
+                  "number of drift phases",
+                  nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"drift_phase_len", FlagType::kInt, "8",
-                  "intervals per drift phase", nullptr});
+                  "intervals per drift phase",
+                  nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"pair_fraction", FlagType::kDouble, "0.35",
-                  "cross-template paired-txn fraction", nullptr});
+                  "cross-template paired-txn fraction",
+                  nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"write_fraction", FlagType::kDouble, "",
                   "fraction of each template's accesses that write",
                   [](F f, C c) -> Status {
@@ -432,7 +452,8 @@ FlagTable ExperimentFlagTable() {
                           f.GetDouble("write_fraction");
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   // After --warmup and --workload: drift rewrites the spec using both.
   defs.push_back({"drift", FlagType::kString, "",
                   "hotspot|skewflip|mixrotation: drifting workload (phases "
@@ -465,16 +486,17 @@ FlagTable ExperimentFlagTable() {
                           pair);
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"pair_affinity", FlagType::kBool, "off",
                   "hub partner keyed by issuing partition instead of base "
                   "template (stable across popularity rotation); needs "
                   "--pair_hub",
-                  nullptr});
+                  nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"pair_write", FlagType::kDouble, "0",
                   "probability a paired txn writes its borrowed hub keys "
                   "instead of reading them",
-                  nullptr});
+                  nullptr, /*hidden=*/false, "workload"});
   // After --drift: the hub phase stacks on whatever spec is in place.
   defs.push_back({"pair_hub", FlagType::kInt, "0",
                   "pair a --pair_fraction share of txns with one of the N "
@@ -492,7 +514,8 @@ FlagTable ExperimentFlagTable() {
                     phase.pair_write = f.GetDouble("pair_write", 0.0);
                     c->workload_options.spec.phases.push_back(phase);
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"replicas", FlagType::kBool, "off",
                   "primary-copy replication: planner replicates read-heavy "
                   "keys, reads route to the nearest live copy (implies "
@@ -503,7 +526,8 @@ FlagTable ExperimentFlagTable() {
                       c->planner_options.enabled = true;
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"replica_copies", FlagType::kInt, "2",
                   "total copies per key, primary included",
                   [](F f, C c) -> Status {
@@ -512,7 +536,8 @@ FlagTable ExperimentFlagTable() {
                           static_cast<uint32_t>(f.GetInt("replica_copies"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"replica_ratio", FlagType::kDouble, "3.0",
                   "min read/write ratio to replicate instead of migrate",
                   [](F f, C c) -> Status {
@@ -521,7 +546,8 @@ FlagTable ExperimentFlagTable() {
                           f.GetDouble("replica_ratio");
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"replica_split", FlagType::kDouble, "0.2",
                   "min second-partition share of a key's co-access pull "
                   "to replicate instead of migrate",
@@ -531,7 +557,8 @@ FlagTable ExperimentFlagTable() {
                           f.GetDouble("replica_split");
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"promotion_delay_ms", FlagType::kInt, "500",
                   "failure-detection delay before replica promotion",
                   [](F f, C c) -> Status {
@@ -540,7 +567,8 @@ FlagTable ExperimentFlagTable() {
                           Millis(f.GetInt("promotion_delay_ms"));
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"replica_keep_stale", FlagType::kBool, "off",
                   "keep replicas whose key went cold or write-heavy",
                   [](F f, C c) -> Status {
@@ -548,7 +576,8 @@ FlagTable ExperimentFlagTable() {
                       c->replicas.drop_stale_replicas = false;
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "replica"});
   defs.push_back({"lion", FlagType::kBool, "off",
                   "adaptive replica provisioning: budgeted replica cache, "
                   "predictive admission, leader shifting for write-hot keys "
@@ -560,7 +589,8 @@ FlagTable ExperimentFlagTable() {
                       c->planner_options.enabled = true;
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "lion"});
   defs.push_back({"replica_budget", FlagType::kInt, "1024",
                   "per-partition cap on lion-created replica copies",
                   [](F f, C c) -> Status {
@@ -568,7 +598,8 @@ FlagTable ExperimentFlagTable() {
                       c->lion.replica_budget = f.GetInt("replica_budget");
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "lion"});
   defs.push_back({"shift_threshold", FlagType::kDouble, "0.6",
                   "share of a key's windowed write mass a replica holder "
                   "must issue before leadership shifts onto it",
@@ -578,7 +609,8 @@ FlagTable ExperimentFlagTable() {
                           f.GetDouble("shift_threshold");
                     }
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "lion"});
   defs.push_back({"evict", FlagType::kString, "lru",
                   "lru|heat: lion replica eviction when the budget is full",
                   [](F f, C c) -> Status {
@@ -590,20 +622,23 @@ FlagTable ExperimentFlagTable() {
                     }
                     c->lion.evict = v;
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "lion"});
   defs.push_back({"check", FlagType::kBool, "off",
                   "record the run's history and verify consistency "
                   "(serializability audit + online invariants)",
                   [](F f, C c) -> Status {
                     if (f.GetBool("check")) c->check.enabled = true;
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "check"});
   defs.push_back({"history_out", FlagType::kString, "",
                   "JSONL dump of the recorded history (implies --check)",
                   [](F f, C c) -> Status {
                     c->check.history_out = f.GetString("history_out", "");
                     return Status::OK();
-                  }});
+                  },
+                  /*hidden=*/false, "check"});
   // Hidden checker self-test hook: injects exactly one deliberate bug of
   // the named class so tests can prove the checker catches it.
   defs.push_back({"check_break", FlagType::kString, "",
@@ -614,7 +649,7 @@ FlagTable ExperimentFlagTable() {
                     c->check.break_mode = f.GetString("check_break", "");
                     return Status::OK();
                   },
-                  /*hidden=*/true});
+                  /*hidden=*/true, "check"});
   defs.push_back({"log_level", FlagType::kString, "warn",
                   "debug|info|warn|error",
                   [](F f, C c) -> Status {
@@ -628,48 +663,11 @@ FlagTable ExperimentFlagTable() {
                     }
                     Logger::Instance().set_level(*level);
                     return Status::OK();
-                  }});
-  defs.push_back({"help", FlagType::kBool, "", "this text", nullptr});
+                  },
+                  /*hidden=*/false, "general"});
+  defs.push_back({"help", FlagType::kBool, "", "this text", nullptr,
+                  /*hidden=*/false, "general"});
 
-  // Subsystem grouping for --help, assigned by name so the row literals
-  // above stay positional. Unlisted rows fall under "general".
-  const std::vector<std::pair<std::string, std::string>> groups = {
-      {"isolation", "cluster"},        {"cc", "cluster"},
-      {"alpha", "workload"},           {"workload", "workload"},
-      {"templates", "workload"},       {"keys", "workload"},
-      {"num_keys", "workload"},        {"load", "workload"},
-      {"write_fraction", "workload"},  {"drift", "workload"},
-      {"drift_phases", "workload"},    {"drift_phase_len", "workload"},
-      {"pair_fraction", "workload"},   {"pair_hub", "workload"},
-      {"pair_affinity", "workload"},   {"pair_write", "workload"},
-      {"record-trace", "workload"},    {"replay-trace", "workload"},
-      {"strategy", "deployment"},      {"sp", "deployment"},
-      {"warmup", "deployment"},        {"intervals", "deployment"},
-      {"planner", "planner"},          {"replan", "planner"},
-      {"plan_ops", "planner"},         {"plan_min_heat", "planner"},
-      {"sketch_threshold", "planner"}, {"sketch_topk", "planner"},
-      {"replicas", "replica"},         {"replica_copies", "replica"},
-      {"replica_ratio", "replica"},    {"replica_split", "replica"},
-      {"promotion_delay_ms", "replica"},
-      {"replica_keep_stale", "replica"},
-      {"lion", "lion"},                {"replica_budget", "lion"},
-      {"shift_threshold", "lion"},     {"evict", "lion"},
-      {"metrics_out", "obs"},          {"metrics_jsonl", "obs"},
-      {"trace_out", "obs"},            {"trace_sample", "obs"},
-      {"audit_out", "obs"},            {"timeline_out", "obs"},
-      {"timeline_interval", "obs"},
-      {"check", "check"},              {"history_out", "check"},
-      {"check_break", "check"},
-      {"fault_spec", "faults"},
-  };
-  for (FlagDef& def : defs) {
-    for (const auto& [name, group] : groups) {
-      if (def.name == name) {
-        def.group = group;
-        break;
-      }
-    }
-  }
   return FlagTable(std::move(defs));
 }
 

@@ -34,10 +34,9 @@ struct FlagDef {
   /// Accepted but left out of --help (testing hooks like --check_break).
   bool hidden = false;
   /// Subsystem heading the flag is listed under in --help (cluster,
-  /// planner, replica, lion, obs, check, ...). Empty rows group under
-  /// "general". Assigned by ExperimentFlagTable after the rows are built,
-  /// so row literals stay positional.
-  std::string group;
+  /// planner, replica, lion, obs, check, ...). ExperimentFlagTable names
+  /// it in every row; frontend rows that omit it list under "general".
+  std::string group = "general";
 };
 
 class FlagTable {

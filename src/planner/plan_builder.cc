@@ -17,7 +17,7 @@ BuiltPlan PlanBuilder::Build(const Clustering& clustering,
     uint32_t target = 0;
     uint64_t heat = 0;
     PlacementKind kind = PlacementKind::kMigrate;
-    repartition::PlacementCost cost;
+    repartition::PlacementCost cost{};
   };
   obs::AuditLog* audit_log =
       audit != nullptr && audit->log != nullptr ? audit->log : nullptr;
@@ -130,7 +130,7 @@ BuiltPlan PlanBuilder::Build(const Clustering& clustering,
   constexpr uint64_t kTupleWireBytes = 64;  // fixed-size simulated tuples
   auto priced = [&](PlacementKind kind, uint64_t pull_target,
                     uint64_t pull_away, uint64_t writes) {
-    repartition::PlacementCost cost;
+    repartition::PlacementCost cost{};
     cost.tpc_savings = static_cast<double>(pull_target) * dist_gap;
     switch (kind) {
       case PlacementKind::kMigrate:

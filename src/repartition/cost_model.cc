@@ -20,7 +20,7 @@ Duration CostModel::DistributedTxnCost(uint32_t partitions) const {
 }
 
 Duration CostModel::RepartitionTxnCost(
-    const std::vector<RepartitionOp>& ops) const {
+    const std::vector<PlacementAction>& ops) const {
   Duration work = costs_.begin;
   uint32_t partitions = 0;
   bool crosses = false;

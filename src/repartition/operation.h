@@ -4,11 +4,6 @@
 // shifting, and all four are now one `PlacementAction` carrying a uniform
 // cost breakdown so the PlanBuilder can price migrate-vs-replicate-vs-shift
 // from a single candidate pool.
-//
-// Compatibility: `RepartitionOp` / `RepartitionOpType` and the old
-// enumerator spellings (`kObjectsMigration`, `kNewReplicaCreation`,
-// `kReplicaDeletion`) remain as thin aliases for one release; new code
-// should use `PlacementAction` / `PlacementKind`.
 
 #ifndef SOAP_REPARTITION_OPERATION_H_
 #define SOAP_REPARTITION_OPERATION_H_
@@ -33,12 +28,6 @@ enum class PlacementKind : uint8_t {
   /// must already hold a replica) becomes the primary and the old primary
   /// is demoted into the replica set. No data moves.
   kLeaderShift,
-
-  // Deprecated spellings (pre-redesign names). Same underlying values, so
-  // old and new code agree on the wire and in switches.
-  kObjectsMigration = kMigrate,
-  kNewReplicaCreation = kReplicaCreate,
-  kReplicaDeletion = kReplicaDrop,
 };
 
 inline const char* PlacementKindName(PlacementKind kind) {
@@ -90,10 +79,6 @@ struct PlacementAction {
   /// legacy ones).
   PlacementCost cost;
 };
-
-/// Deprecated aliases — one release of grace for pre-redesign call sites.
-using RepartitionOp = PlacementAction;
-using RepartitionOpType = PlacementKind;
 
 /// The optimizer's output: the full set of plan units. `epoch` numbers the
 /// plan generation the ids were drawn in (1-based; 0 = unset/legacy).

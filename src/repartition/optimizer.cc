@@ -80,7 +80,7 @@ RepartitionPlan Optimizer::DerivePlan(const router::RoutingTable& routing,
     }
     for (const auto& [key, partition] : key_partitions) {
       if (partition == target) continue;
-      RepartitionOp op;
+      PlacementAction op;
       op.id = ids->Allocate();
       op.kind = PlacementKind::kMigrate;
       op.key = key;

@@ -36,7 +36,7 @@ Result<RepartitionPlan> ReplicaPlanner::PlanReplication(
         }
       }
       if (best < 0) break;  // no eligible partition left
-      RepartitionOp op;
+      PlacementAction op;
       op.id = next_id++;
       op.kind = PlacementKind::kReplicaCreate;
       op.key = key;
@@ -75,7 +75,7 @@ Result<RepartitionPlan> ReplicaPlanner::PlanDereplication(
               [&](uint32_t a, uint32_t b) { return load[a] > load[b]; });
     for (uint32_t p : replicas) {
       if (copies <= factor) break;
-      RepartitionOp op;
+      PlacementAction op;
       op.id = next_id++;
       op.kind = PlacementKind::kReplicaDrop;
       op.key = key;

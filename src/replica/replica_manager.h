@@ -1,14 +1,14 @@
 // Primary-copy replication manager: failover and catch-up on top of the
 // routing table's placements. Normal-path replica maintenance (creation,
-// deletion, write-through) is executed by the transaction layer as part of
-// repartition transactions; this class owns the crash-time protocol:
+// deletion, synchronous write shipping) is executed by the transaction
+// layer; this class owns the crash-time protocol:
 //
 //  * On a node crash, after a failure-detection delay, every key whose
 //    primary lived on the node and that still has a live replica is
 //    promoted: the lowest-numbered live replica becomes the primary and
 //    the dead node is demoted to a (stale) replica entry, so its on-disk
 //    copy stays routed and can be caught up later. Reads fail over to live
-//    replicas immediately via the router's kNearestLive policy; the delay
+//    replicas immediately via QueryRouter::RouteReadNear; the delay
 //    models the failure detector's lease, during which reads are served by
 //    replicas while writes to the dead primary abort.
 //

@@ -29,18 +29,15 @@
 //                                kReplicaDrop, kLeaderShift), the key, the
 //                                source/target partitions, and a uniform
 //                                PlacementCost breakdown (move_bytes,
-//                                tpc_savings, freshness_penalty). The old
-//                                RepartitionOp/RepartitionOpType spellings
-//                                and kObjectsMigration-style enumerators
-//                                are deprecated aliases of this type.
+//                                tpc_savings, freshness_penalty).
 //     lion::Provisioner          adaptive replica budget + predictive
 //                                admission backing --lion
 //
 //   Assemble the stack manually (what Experiment::Run does internally)
 //     sim::Simulator             deterministic discrete-event clock
 //     cluster::Cluster           nodes + storage + network + 2PC + routing
-//     cluster::TransactionManager transaction execution, replica-aware
-//                                when EnableReplicaAwareness() is called
+//     cluster::TransactionManager transaction execution; writes ship
+//                                synchronously to live replica holders
 //     core::Repartitioner        plan deployment with the five strategies
 //     core::Scheduler            base class for user-defined strategies
 //     planner::Planner           online co-access-graph replanning

@@ -7,9 +7,9 @@ namespace {
 
 cluster::ExecutionCosts DefaultCosts() { return cluster::ExecutionCosts{}; }
 
-RepartitionOp Migration(storage::TupleKey key) {
-  RepartitionOp op;
-  op.kind = RepartitionOpType::kObjectsMigration;
+PlacementAction Migration(storage::TupleKey key) {
+  PlacementAction op;
+  op.kind = PlacementKind::kMigrate;
   op.key = key;
   return op;
 }
@@ -44,8 +44,8 @@ TEST(CostModelTest, CostGrowsWithParticipants) {
 
 TEST(CostModelTest, RepartitionTxnCostScalesWithOps) {
   CostModel model(DefaultCosts(), 5);
-  std::vector<RepartitionOp> one = {Migration(1)};
-  std::vector<RepartitionOp> three = {Migration(1), Migration(2),
+  std::vector<PlacementAction> one = {Migration(1)};
+  std::vector<PlacementAction> three = {Migration(1), Migration(2),
                                       Migration(3)};
   EXPECT_LT(model.RepartitionTxnCost(one), model.RepartitionTxnCost(three));
 }
@@ -53,7 +53,7 @@ TEST(CostModelTest, RepartitionTxnCostScalesWithOps) {
 TEST(CostModelTest, MigrationAlwaysPaysTwoParticipant2pc) {
   cluster::ExecutionCosts c = DefaultCosts();
   CostModel model(c, 5);
-  std::vector<RepartitionOp> ops = {Migration(1)};
+  std::vector<PlacementAction> ops = {Migration(1)};
   EXPECT_EQ(model.RepartitionTxnCost(ops),
             c.begin + c.migrate_insert + c.migrate_delete +
                 2 * (c.prepare + c.commit_apply));
@@ -62,9 +62,9 @@ TEST(CostModelTest, MigrationAlwaysPaysTwoParticipant2pc) {
 TEST(CostModelTest, ReplicaDeletionAloneIsLocal) {
   cluster::ExecutionCosts c = DefaultCosts();
   CostModel model(c, 5);
-  RepartitionOp del;
-  del.kind = RepartitionOpType::kReplicaDeletion;
-  std::vector<RepartitionOp> ops = {del};
+  PlacementAction del;
+  del.kind = PlacementKind::kReplicaDrop;
+  std::vector<PlacementAction> ops = {del};
   EXPECT_EQ(model.RepartitionTxnCost(ops),
             c.begin + c.replica_delete + c.local_commit);
 }
@@ -73,7 +73,7 @@ TEST(CostModelTest, PiggybackedOpSavesOverhead) {
   // The entire point of §3.4: piggybacking pays only the op work, not
   // begin + locks + 2PC.
   CostModel model(DefaultCosts(), 5);
-  std::vector<RepartitionOp> ops = {Migration(1)};
+  std::vector<PlacementAction> ops = {Migration(1)};
   EXPECT_LT(model.PiggybackedOpCost(ops[0]), model.RepartitionTxnCost(ops));
 }
 

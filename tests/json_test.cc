@@ -27,7 +27,8 @@ TEST(JsonParseTest, Scalars) {
 
 TEST(JsonParseTest, StringEscapeRoundTrip) {
   const std::string original = "line1\nline2\t\"quoted\" back\\slash";
-  Result<Value> parsed = Parse("\"" + Escape(original) + "\"");
+  const std::string escaped = Escape(original);
+  Result<Value> parsed = Parse("\"" + escaped + "\"");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->AsString(), original);
 }

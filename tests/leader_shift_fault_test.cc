@@ -119,7 +119,9 @@ TEST_F(LeaderShiftTmTest, ShiftRacingReplicaCreateStaysConsistent) {
   EXPECT_GE(p->copy_count(), 1u);
   EXPECT_LE(p->copy_count(), 2u);
   EXPECT_TRUE(p->primary == 0u || p->primary == 1u);
-  if (p->primary == 1u) EXPECT_EQ(p->copy_count(), 2u);
+  if (p->primary == 1u) {
+    EXPECT_EQ(p->copy_count(), 2u);
+  }
   EXPECT_LE(tm_.counters().leader_shifts_applied, 1u);
   // The primary is never also listed as a replica.
   for (uint32_t rep : p->replicas) EXPECT_NE(rep, p->primary);

@@ -48,10 +48,10 @@ TEST(OptimizerTest, PlanCoversExactlyDistributedTemplates) {
   // Each distributed template contributes its remote keys (2 each).
   EXPECT_EQ(plan.size(), f.catalog.distributed_count() * 2);
   std::set<uint32_t> planned_templates;
-  for (const RepartitionOp& op : plan.ops) {
+  for (const PlacementAction& op : plan.ops) {
     ASSERT_EQ(op.affected_templates.size(), 1u);
     planned_templates.insert(op.affected_templates[0]);
-    EXPECT_EQ(op.kind, RepartitionOpType::kObjectsMigration);
+    EXPECT_EQ(op.kind, PlacementKind::kMigrate);
   }
   EXPECT_EQ(planned_templates.size(), f.catalog.distributed_count());
   for (uint32_t t : planned_templates) {
@@ -62,7 +62,7 @@ TEST(OptimizerTest, PlanCoversExactlyDistributedTemplates) {
 TEST(OptimizerTest, PlanMovesMinorityToMajority) {
   Fixture f(1.0);
   RepartitionPlan plan = f.optimizer.DerivePlan(f.routing);
-  for (const RepartitionOp& op : plan.ops) {
+  for (const PlacementAction& op : plan.ops) {
     const workload::TxnTemplate& tmpl =
         f.catalog.at(op.affected_templates[0]);
     EXPECT_EQ(op.target_partition, tmpl.home_partition);
@@ -74,7 +74,7 @@ TEST(OptimizerTest, OpIdsAreUniqueAndDense) {
   Fixture f(1.0);
   RepartitionPlan plan = f.optimizer.DerivePlan(f.routing);
   std::set<uint64_t> ids;
-  for (const RepartitionOp& op : plan.ops) {
+  for (const PlacementAction& op : plan.ops) {
     EXPECT_GE(op.id, 1u);
     EXPECT_LE(op.id, plan.size());
     EXPECT_TRUE(ids.insert(op.id).second);
@@ -85,7 +85,7 @@ TEST(OptimizerTest, EmptyPlanWhenEverythingCollocated) {
   Fixture f(1.0);
   // Apply the plan by hand, then re-derive: nothing left to do.
   RepartitionPlan plan = f.optimizer.DerivePlan(f.routing);
-  for (const RepartitionOp& op : plan.ops) {
+  for (const PlacementAction& op : plan.ops) {
     ASSERT_TRUE(
         f.routing.Migrate(op.key, op.source_partition, op.target_partition)
             .ok());
@@ -153,11 +153,11 @@ TEST(OptimizerTest, SharedAllocatorKeepsIdsMonotonicAcrossDerivePlans) {
   ASSERT_EQ(second.size(), first.size());  // routing unchanged: same moves
   uint64_t max_first = 0;
   std::set<uint64_t> seen;
-  for (const RepartitionOp& op : first.ops) {
+  for (const PlacementAction& op : first.ops) {
     EXPECT_TRUE(seen.insert(op.id).second);
     max_first = std::max(max_first, op.id);
   }
-  for (const RepartitionOp& op : second.ops) {
+  for (const PlacementAction& op : second.ops) {
     EXPECT_TRUE(seen.insert(op.id).second) << "op id reused: " << op.id;
     EXPECT_GT(op.id, max_first);
   }
@@ -172,7 +172,7 @@ TEST(OptimizerTest, PlanIgnoresUnroutedKeys) {
   for (const auto& tmpl : f.catalog.templates()) {
     template_keys.insert(tmpl.keys.begin(), tmpl.keys.end());
   }
-  for (const RepartitionOp& op : plan.ops) {
+  for (const PlacementAction& op : plan.ops) {
     EXPECT_TRUE(template_keys.count(op.key)) << op.key;
   }
 }

@@ -220,7 +220,7 @@ TEST_F(PlanBuilderTest, EmitsOneMigrationPerDisagreeingKey) {
   EXPECT_EQ(built.plan.ops[0].source_partition, 0u);
   EXPECT_EQ(built.plan.ops[0].target_partition, 1u);
   EXPECT_EQ(built.plan.ops[0].kind,
-            repartition::RepartitionOpType::kObjectsMigration);
+            repartition::PlacementKind::kMigrate);
   EXPECT_EQ(built.plan.epoch, 1u);
   EXPECT_EQ(built.dropped, 0u);
   EXPECT_GT(built.deploy_cost, 0);

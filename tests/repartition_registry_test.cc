@@ -12,7 +12,7 @@ RepartitionTxn Make(uint32_t tmpl, double density, size_t ops = 2) {
   rt.benefit = density * 100.0;
   rt.cost = 100.0;
   for (size_t i = 0; i < ops; ++i) {
-    repartition::RepartitionOp op;
+    repartition::PlacementAction op;
     op.id = tmpl * 10 + i + 1;
     op.key = tmpl * 10 + i;
     op.source_partition = 1;
@@ -118,7 +118,7 @@ TEST(RegistryTest, MakeTransactionOrdersOpsByKey) {
   RepartitionTxn rt;
   rt.beneficiary_template = 0;
   for (storage::TupleKey k : {50ULL, 10ULL, 30ULL}) {
-    repartition::RepartitionOp op;
+    repartition::PlacementAction op;
     op.id = k;
     op.key = k;
     rt.ops.push_back(op);
@@ -148,15 +148,15 @@ TEST(RegistryTest, InjectIntoAppendsPiggybackOps) {
 TEST(RegistryTest, ReplicaOpsMapToReplicaOpKinds) {
   RepartitionTxn rt;
   rt.beneficiary_template = 0;
-  repartition::RepartitionOp create;
+  repartition::PlacementAction create;
   create.id = 1;
   create.key = 5;
-  create.kind = repartition::RepartitionOpType::kNewReplicaCreation;
+  create.kind = repartition::PlacementKind::kReplicaCreate;
   create.target_partition = 2;
-  repartition::RepartitionOp del;
+  repartition::PlacementAction del;
   del.id = 2;
   del.key = 6;
-  del.kind = repartition::RepartitionOpType::kReplicaDeletion;
+  del.kind = repartition::PlacementKind::kReplicaDrop;
   del.source_partition = 1;
   rt.ops = {create, del};
   auto t = RepartitionRegistry::MakeTransaction(rt, txn::TxnPriority::kLow);

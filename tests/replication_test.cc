@@ -1,6 +1,6 @@
 // Tests for the replica planner and the end-to-end HA replication path:
-// plans through the repartitioner, replica-aware routing, write-through
-// consistency, and multi-round repartitioning (FinishRound).
+// plans through the repartitioner, replica-aware routing, synchronous write
+// shipping, and multi-round repartitioning (FinishRound).
 
 #include "src/repartition/replication.h"
 
@@ -14,7 +14,7 @@
 namespace soap {
 namespace {
 
-using repartition::RepartitionOpType;
+using repartition::PlacementKind;
 using repartition::ReplicaPlanner;
 
 class ReplicationTest : public ::testing::Test {
@@ -73,7 +73,7 @@ TEST_F(ReplicationTest, PlanCreatesMissingCopies) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->size(), 6u);  // 2 new copies per key
   for (const auto& op : plan->ops) {
-    EXPECT_EQ(op.kind, RepartitionOpType::kNewReplicaCreation);
+    EXPECT_EQ(op.kind, PlacementKind::kReplicaCreate);
     EXPECT_NE(op.target_partition,
               *cluster_.routing_table().GetPrimary(op.key));
   }
@@ -142,6 +142,50 @@ TEST_F(ReplicationTest, WritesKeepReplicasIdentical) {
   for (uint32_t rep : placement->replicas) {
     EXPECT_EQ(cluster_.storage(rep).Read(0)->content, 4242);
   }
+  EXPECT_TRUE(cluster_.CheckConsistency().ok());
+}
+
+TEST_F(ReplicationTest, WriteShipsToCopyHolderThroughTwoPhaseCommit) {
+  core::Repartitioner rp = MakeRepartitioner();
+  tm_.set_completion_callback(
+      [&rp](const txn::Transaction& t) { rp.OnTxnComplete(t); });
+  auto plan =
+      planner_.PlanReplication(cluster_.routing_table(), {0}, /*factor=*/2);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(rp.StartRepartitioningWithPlan(*plan));
+  sim_.Run();
+  Result<router::Placement> placement =
+      cluster_.routing_table().GetPlacement(0);
+  ASSERT_TRUE(placement.ok());
+  ASSERT_EQ(placement->replicas.size(), 1u);
+  const uint32_t holder = placement->replicas[0];
+
+  // A single-key write is collocated on the primary, yet the copy holder
+  // must vote in 2PC and hold the value by the time the writer completes.
+  std::set<uint32_t> voters;
+  tm_.set_vote_abort_injector([&voters](const txn::Transaction&, uint32_t p) {
+    voters.insert(p);
+    return false;
+  });
+  int64_t copy_at_completion = -1;
+  tm_.set_completion_callback([&](const txn::Transaction& t) {
+    EXPECT_TRUE(t.committed());
+    copy_at_completion = cluster_.storage(holder).Read(0)->content;
+  });
+  const txn::TpcStats before = cluster_.tpc().stats();
+  auto writer = std::make_unique<txn::Transaction>();
+  txn::Operation w;
+  w.kind = txn::OpKind::kWrite;
+  w.key = 0;
+  w.write_value = 4242;
+  writer->ops = {w};
+  tm_.Submit(std::move(writer));
+  sim_.Run();
+
+  EXPECT_EQ(cluster_.tpc().stats().protocols_run, before.protocols_run + 1);
+  EXPECT_EQ(cluster_.tpc().stats().committed, before.committed + 1);
+  EXPECT_EQ(voters, (std::set<uint32_t>{placement->primary, holder}));
+  EXPECT_EQ(copy_at_completion, 4242);
   EXPECT_TRUE(cluster_.CheckConsistency().ok());
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "src/check/history_recorder.h"
 #include "src/cluster/cluster.h"
 
 namespace soap::cluster {
@@ -241,6 +242,39 @@ TEST_F(TmTest, QueueTimeoutFailsStaleTransactions) {
   EXPECT_GT(tm.counters().aborts_queue_timeout, 0u);
   EXPECT_EQ(tm.counters().committed_normal + tm.counters().aborted_normal,
             300u);
+}
+
+TEST_F(TmTest, QueueExpiredTransactionsReachTheHistory) {
+  // The saturation above, with a history recorder attached: a transaction
+  // that expires in the queue is reported as an abort like any other.
+  ClusterConfig tiny = MakeConfig();
+  tiny.max_inflight = 1;
+  tiny.costs.txn_timeout = Seconds(1);
+  sim::Simulator sim;
+  Cluster cluster(&sim, tiny);
+  for (storage::TupleKey k = 0; k < 30; ++k) {
+    storage::Tuple t;
+    t.key = k;
+    ASSERT_TRUE(cluster.LoadTuple(t, k % 3).ok());
+  }
+  TransactionManager tm(&cluster);
+  check::HistoryRecorder history;
+  tm.set_history(&history);
+  std::vector<txn::TxnId> expired;
+  tm.set_completion_callback([&](const Transaction& t) {
+    if (t.abort_reason == txn::AbortReason::kQueueTimeout) {
+      expired.push_back(t.id);
+    }
+  });
+  for (int i = 0; i < 300; ++i) {
+    auto t = std::make_unique<Transaction>();
+    t->ops = {Read(0), Read(3), Read(6)};
+    tm.Submit(std::move(t));
+  }
+  sim.Run();
+  ASSERT_FALSE(expired.empty());
+  for (txn::TxnId id : expired) EXPECT_EQ(history.aborted().count(id), 1u);
+  EXPECT_EQ(history.aborted().size(), tm.counters().aborted_normal);
 }
 
 TEST_F(TmTest, WriteConflictSerializesNotAborts) {

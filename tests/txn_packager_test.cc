@@ -185,7 +185,7 @@ TEST(TxnPackagerTest, RangeModeMergesContiguousRuns) {
   f.Observe({{0, 10}});
   repartition::RepartitionPlan plan;
   auto add = [&plan](storage::TupleKey key, uint32_t src) {
-    repartition::RepartitionOp op;
+    repartition::PlacementAction op;
     op.id = plan.size() + 1;
     op.key = key;
     op.source_partition = src;
