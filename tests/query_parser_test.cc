@@ -77,6 +77,10 @@ struct InvalidCase {
   const char* sql;
 };
 
+// Without a printer gtest dumps the two pointers' bytes, so the listed test
+// names (and the CTest names discovered from them) change from run to run.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
+
 class InvalidQueries : public ::testing::TestWithParam<InvalidCase> {};
 
 TEST_P(InvalidQueries, Rejected) {
