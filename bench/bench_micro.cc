@@ -10,11 +10,13 @@
 //                                     (or `path`)
 //   bench_micro --json --baseline f   additionally compare against a
 //                                     previous JSON and exit non-zero on a
-//                                     >25% throughput regression
+//                                     >25% throughput regression or on a
+//                                     gate key the baseline lacks
 //
 // The JSON suite times the simulator event loop (drain + steady-state),
-// cancel throughput, and a fast-scale figure panel serially and on
-// min(4, host cores) ParallelRunner threads.
+// cancel throughput, routing lookups in three table shapes, and a
+// fast-scale figure panel serially and on min(4, host cores)
+// ParallelRunner threads.
 
 #include <benchmark/benchmark.h>
 
@@ -417,7 +419,13 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
   int exit_code = 0;
   for (const Gate& gate : gates) {
     const double was = JsonNumber(base, gate.key);
-    if (was <= 0.0) continue;
+    if (was <= 0.0) {
+      // A gate without a floor would pass silently; make it an error.
+      std::fprintf(stderr, "# gate %s has no floor in %s\n", gate.key,
+                   baseline.c_str());
+      exit_code = 1;
+      continue;
+    }
     const double ratio = gate.current / was;
     std::printf("# gate %-28s %.3gx baseline%s\n", gate.key, ratio,
                 ratio < 0.75 ? "  REGRESSION" : "");

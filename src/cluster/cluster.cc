@@ -62,7 +62,7 @@ Duration Cluster::TotalBusyTime(WorkCategory category) const {
 
 Status Cluster::CheckConsistency() const {
   // One pass per partition instead of the historical per-key sweep over
-  // the whole keyspace (which paid two locked lookups and a Placement
+  // the whole keyspace (which paid two routing lookups and a Placement
   // vector allocation per key — the dominant audit cost at production
   // cardinality). Two facts together imply the old check exactly:
   //   (1) every stored tuple is placed on its partition (stored ⊆ placed,

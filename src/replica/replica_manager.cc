@@ -49,8 +49,8 @@ void ReplicaManager::OnNodeCrash(uint32_t node) {
 void ReplicaManager::PromoteAwayFrom(uint32_t node) {
   router::RoutingTable& routing = cluster_->routing_table();
   uint64_t promoted = 0;
-  // Ordered streaming sweep: the table stays unlocked while each key is
-  // handled, so Promote below mutates it safely mid-iteration.
+  // Ordered streaming sweep: ForEachReplicated resumes past each visited
+  // key, so Promote below mutates the table safely mid-iteration.
   routing.ForEachReplicated([&](storage::TupleKey key,
                                 const router::Placement& placement) {
     if (placement.primary != node) return;

@@ -29,7 +29,7 @@ bool Placement::HasReplicaOn(PartitionId p) const {
 
 RoutingTable::RoutingTable(uint64_t num_keys) : num_keys_(num_keys) {}
 
-const RoutingTable::BaseRange* RoutingTable::FindBaseLocked(
+const RoutingTable::BaseRange* RoutingTable::FindBase(
     storage::TupleKey key, storage::TupleKey* start_out) const {
   auto it = base_.upper_bound(key);
   if (it == base_.begin()) return nullptr;
@@ -39,19 +39,18 @@ const RoutingTable::BaseRange* RoutingTable::FindBaseLocked(
   return &it->second;
 }
 
-std::optional<PartitionId> RoutingTable::BaseOwnerLocked(
+std::optional<PartitionId> RoutingTable::BaseOwner(
     storage::TupleKey key) const {
   storage::TupleKey start = 0;
-  const BaseRange* range = FindBaseLocked(key, &start);
+  const BaseRange* range = FindBase(key, &start);
   if (range == nullptr) return std::nullopt;
   return RangeOwner(*range, key);
 }
 
-std::optional<PartitionId> RoutingTable::PrimaryLocked(
+std::optional<PartitionId> RoutingTable::PrimaryOf(
     storage::TupleKey key) const {
-  auto it = primary_exc_.find(key);
-  if (it != primary_exc_.end()) return it->second;
-  return BaseOwnerLocked(key);
+  if (const uint32_t* p = exceptions_.Find(key)) return *p;
+  return BaseOwner(key);
 }
 
 void RoutingTable::BumpPrimaryCount(PartitionId partition, int64_t delta) {
@@ -68,97 +67,62 @@ void RoutingTable::BumpReplicaCount(PartitionId partition, int64_t delta) {
   replicas_count_[partition] += static_cast<uint64_t>(delta);
 }
 
-Status RoutingTable::AssignRange(storage::TupleKey start,
-                                 storage::TupleKey end,
-                                 PartitionId partition) {
-  BaseRange entry;
-  entry.end = end;
-  entry.round_robin = false;
-  entry.partition = partition;
-
-  std::lock_guard<std::mutex> guard(mu_);
-  if (start >= end || end > num_keys_) {
+Status RoutingTable::InstallRange(storage::TupleKey start,
+                                  const BaseRange& range) {
+  if (start >= range.end || range.end > num_keys_) {
     return Status::InvalidArgument("range [" + std::to_string(start) + ", " +
-                                   std::to_string(end) + ") out of bounds");
+                                   std::to_string(range.end) +
+                                   ") out of bounds");
   }
   auto it = base_.upper_bound(start);
-  if (it != base_.begin() && std::prev(it)->second.end > start) {
+  if ((it != base_.begin() && std::prev(it)->second.end > start) ||
+      (it != base_.end() && it->first < range.end)) {
     return Status::FailedPrecondition("range overlaps an existing entry");
   }
-  if (it != base_.end() && it->first < end) {
-    return Status::FailedPrecondition("range overlaps an existing entry");
+  base_.emplace(start, range);
+  if (range.round_robin) {
+    for (uint32_t p = 0; p < range.modulus; ++p) {
+      BumpPrimaryCount(p, static_cast<int64_t>(CongruentInRange(
+                              start, range.end, range.modulus, p)));
+    }
+  } else {
+    BumpPrimaryCount(range.partition, static_cast<int64_t>(range.end - start));
   }
-  base_.emplace(start, entry);
-  BumpPrimaryCount(partition, static_cast<int64_t>(end - start));
   // Existing point exceptions stay authoritative over the new base: back
   // the base owner out of the counters for each, absorbing exceptions
-  // that now agree with it.
-  for (auto exc = primary_exc_.begin(); exc != primary_exc_.end();) {
-    if (exc->first < start || exc->first >= end) {
-      ++exc;
-      continue;
-    }
-    BumpPrimaryCount(partition, -1);
-    if (exc->second == partition) {
-      exc = primary_exc_.erase(exc);
-    } else {
-      ++exc;
-    }
+  // that now agree with it. Collect first — erasing shifts slots.
+  std::vector<storage::TupleKey> inside;
+  exceptions_.ForEach([&](storage::TupleKey key, uint32_t) {
+    if (key >= start && key < range.end) inside.push_back(key);
+  });
+  for (storage::TupleKey key : inside) {
+    const PartitionId owner = RangeOwner(range, key);
+    BumpPrimaryCount(owner, -1);
+    const size_t slot = exceptions_.Probe(key);
+    if (exceptions_.partition(slot) == owner) exceptions_.EraseAt(slot);
   }
   ++version_;
   return Status::OK();
+}
+
+Status RoutingTable::AssignRange(storage::TupleKey start,
+                                 storage::TupleKey end,
+                                 PartitionId partition) {
+  return InstallRange(start, BaseRange{end, false, partition, 0});
 }
 
 Status RoutingTable::AssignRoundRobin(storage::TupleKey start,
                                       storage::TupleKey end,
                                       uint32_t num_partitions) {
-  std::lock_guard<std::mutex> guard(mu_);
   if (num_partitions == 0) {
     return Status::InvalidArgument("round-robin needs >= 1 partition");
   }
-  if (start >= end || end > num_keys_) {
-    return Status::InvalidArgument("range [" + std::to_string(start) + ", " +
-                                   std::to_string(end) + ") out of bounds");
-  }
-  auto it = base_.upper_bound(start);
-  if (it != base_.begin() && std::prev(it)->second.end > start) {
-    return Status::FailedPrecondition("range overlaps an existing entry");
-  }
-  if (it != base_.end() && it->first < end) {
-    return Status::FailedPrecondition("range overlaps an existing entry");
-  }
-  BaseRange entry;
-  entry.end = end;
-  entry.round_robin = true;
-  entry.modulus = num_partitions;
-  base_.emplace(start, entry);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    BumpPrimaryCount(
-        p, static_cast<int64_t>(CongruentInRange(start, end, num_partitions,
-                                                 p)));
-  }
-  for (auto exc = primary_exc_.begin(); exc != primary_exc_.end();) {
-    if (exc->first < start || exc->first >= end) {
-      ++exc;
-      continue;
-    }
-    const PartitionId owner =
-        static_cast<PartitionId>(exc->first % num_partitions);
-    BumpPrimaryCount(owner, -1);
-    if (exc->second == owner) {
-      exc = primary_exc_.erase(exc);
-    } else {
-      ++exc;
-    }
-  }
-  ++version_;
-  return Status::OK();
+  return InstallRange(start, BaseRange{end, true, 0, num_partitions});
 }
 
 Result<PartitionId> RoutingTable::GetPrimary(storage::TupleKey key) const {
-  std::lock_guard<std::mutex> guard(mu_);
   if (key < num_keys_) {
-    if (std::optional<PartitionId> p = PrimaryLocked(key); p.has_value()) {
+    if (std::optional<PartitionId> p = PrimaryOf(key); p.has_value()) {
       return *p;
     }
   }
@@ -166,9 +130,8 @@ Result<PartitionId> RoutingTable::GetPrimary(storage::TupleKey key) const {
 }
 
 Result<Placement> RoutingTable::GetPlacement(storage::TupleKey key) const {
-  std::lock_guard<std::mutex> guard(mu_);
   std::optional<PartitionId> primary;
-  if (key < num_keys_) primary = PrimaryLocked(key);
+  if (key < num_keys_) primary = PrimaryOf(key);
   if (!primary.has_value()) {
     return Status::NotFound("key " + std::to_string(key) + " not routed");
   }
@@ -181,9 +144,8 @@ Result<Placement> RoutingTable::GetPlacement(storage::TupleKey key) const {
 
 bool RoutingTable::IsPlacedOn(storage::TupleKey key,
                               PartitionId partition) const {
-  std::lock_guard<std::mutex> guard(mu_);
   if (key >= num_keys_) return false;
-  const std::optional<PartitionId> primary = PrimaryLocked(key);
+  const std::optional<PartitionId> primary = PrimaryOf(key);
   if (!primary.has_value()) return false;
   if (*primary == partition) return true;
   auto it = replicas_.find(key);
@@ -192,7 +154,7 @@ bool RoutingTable::IsPlacedOn(storage::TupleKey key,
              it->second.end();
 }
 
-void RoutingTable::CoalesceAroundLocked(storage::TupleKey start) {
+void RoutingTable::CoalesceAround(storage::TupleKey start) {
   auto it = base_.find(start);
   if (it == base_.end() || it->second.round_robin) return;
   auto next = base_.find(it->second.end);
@@ -211,15 +173,15 @@ void RoutingTable::CoalesceAroundLocked(storage::TupleKey start) {
   }
 }
 
-bool RoutingTable::RestructureBlockLocked(storage::TupleKey start,
-                                          storage::TupleKey key,
-                                          PartitionId partition) {
+bool RoutingTable::RestructureBlock(storage::TupleKey start,
+                                    storage::TupleKey key,
+                                    PartitionId partition) {
   auto it = base_.find(start);
   const storage::TupleKey end = it->second.end;
   if (end - start == 1) {
     // Singleton range: retarget and merge into equal-owner neighbours.
     it->second.partition = partition;
-    CoalesceAroundLocked(start);
+    CoalesceAround(start);
     return true;
   }
   if (key == start) {
@@ -259,52 +221,53 @@ bool RoutingTable::RestructureBlockLocked(storage::TupleKey start,
   return false;  // interior: overlay an exception instead
 }
 
-void RoutingTable::SetPrimaryLocked(storage::TupleKey key,
-                                    PartitionId partition) {
-  if (std::optional<PartitionId> old = PrimaryLocked(key); old.has_value()) {
-    BumpPrimaryCount(*old, -1);
+void RoutingTable::PlacePrimary(storage::TupleKey key,
+                                PartitionId partition) {
+  const size_t slot = exceptions_.Probe(key);
+  const bool listed = exceptions_.occupied(slot);
+  storage::TupleKey start = 0;
+  const BaseRange* range = FindBase(key, &start);
+  if (listed) {
+    BumpPrimaryCount(exceptions_.partition(slot), -1);
+  } else if (range != nullptr) {
+    BumpPrimaryCount(RangeOwner(*range, key), -1);
   }
   BumpPrimaryCount(partition, +1);
 
-  storage::TupleKey start = 0;
-  const BaseRange* range = FindBaseLocked(key, &start);
-  auto exc = primary_exc_.find(key);
   if (range != nullptr) {
     if (RangeOwner(*range, key) == partition) {
       // The placement returned to its enclosing range: absorb.
-      if (exc != primary_exc_.end()) primary_exc_.erase(exc);
+      if (listed) exceptions_.EraseAt(slot);
       return;
     }
-    if (exc == primary_exc_.end() && !range->round_robin &&
-        RestructureBlockLocked(start, key, partition)) {
+    if (!listed && !range->round_robin &&
+        RestructureBlock(start, key, partition)) {
       return;  // boundary key: the range itself split/coalesced
     }
   }
-  if (exc != primary_exc_.end()) {
-    exc->second = partition;
+  if (listed) {
+    exceptions_.set_partition(slot, partition);
   } else {
-    primary_exc_.emplace(key, partition);
+    exceptions_.InsertAt(slot, key, partition);
   }
 }
 
 Status RoutingTable::SetPrimary(storage::TupleKey key,
                                 PartitionId partition) {
-  std::lock_guard<std::mutex> guard(mu_);
   if (key >= num_keys_) {
     return Status::InvalidArgument("key " + std::to_string(key) +
                                    " out of range");
   }
-  SetPrimaryLocked(key, partition);
-  BumpEpochLocked(key);
+  PlacePrimary(key, partition);
+  BumpEpoch(key);
   ++version_;
   return Status::OK();
 }
 
 Status RoutingTable::AddReplica(storage::TupleKey key,
                                 PartitionId partition) {
-  std::lock_guard<std::mutex> guard(mu_);
   std::optional<PartitionId> primary;
-  if (key < num_keys_) primary = PrimaryLocked(key);
+  if (key < num_keys_) primary = PrimaryOf(key);
   if (!primary.has_value()) {
     return Status::NotFound("key " + std::to_string(key) + " not routed");
   }
@@ -325,9 +288,8 @@ Status RoutingTable::AddReplica(storage::TupleKey key,
 
 Status RoutingTable::RemoveReplica(storage::TupleKey key,
                                    PartitionId partition) {
-  std::lock_guard<std::mutex> guard(mu_);
   std::optional<PartitionId> primary;
-  if (key < num_keys_) primary = PrimaryLocked(key);
+  if (key < num_keys_) primary = PrimaryOf(key);
   if (!primary.has_value()) {
     return Status::NotFound("key " + std::to_string(key) + " not routed");
   }
@@ -355,9 +317,8 @@ Status RoutingTable::RemoveReplica(storage::TupleKey key,
 
 Status RoutingTable::Migrate(storage::TupleKey key, PartitionId from,
                              PartitionId to) {
-  std::lock_guard<std::mutex> guard(mu_);
   std::optional<PartitionId> primary;
-  if (key < num_keys_) primary = PrimaryLocked(key);
+  if (key < num_keys_) primary = PrimaryOf(key);
   if (!primary.has_value()) {
     return Status::NotFound("key " + std::to_string(key) + " not routed");
   }
@@ -366,7 +327,7 @@ Status RoutingTable::Migrate(storage::TupleKey key, PartitionId from,
         "primary of key " + std::to_string(key) + " is partition " +
         std::to_string(*primary) + ", not " + std::to_string(from));
   }
-  SetPrimaryLocked(key, to);
+  PlacePrimary(key, to);
   auto it = replicas_.find(key);
   if (it != replicas_.end()) {
     auto& reps = it->second;
@@ -376,15 +337,14 @@ Status RoutingTable::Migrate(storage::TupleKey key, PartitionId from,
     if (removed != 0) BumpReplicaCount(to, -removed);
     if (reps.empty()) replicas_.erase(it);
   }
-  BumpEpochLocked(key);
+  BumpEpoch(key);
   ++version_;
   return Status::OK();
 }
 
 Status RoutingTable::Promote(storage::TupleKey key, PartitionId new_primary) {
-  std::lock_guard<std::mutex> guard(mu_);
   std::optional<PartitionId> primary;
-  if (key < num_keys_) primary = PrimaryLocked(key);
+  if (key < num_keys_) primary = PrimaryOf(key);
   if (!primary.has_value()) {
     return Status::NotFound("key " + std::to_string(key) + " not routed");
   }
@@ -407,14 +367,13 @@ Status RoutingTable::Promote(storage::TupleKey key, PartitionId new_primary) {
   *rep_it = *primary;
   BumpReplicaCount(new_primary, -1);
   BumpReplicaCount(*primary, +1);
-  SetPrimaryLocked(key, new_primary);
-  BumpEpochLocked(key);
+  PlacePrimary(key, new_primary);
+  BumpEpoch(key);
   ++version_;
   return Status::OK();
 }
 
 std::vector<storage::TupleKey> RoutingTable::ReplicatedKeys() const {
-  std::lock_guard<std::mutex> guard(mu_);
   std::vector<storage::TupleKey> keys;
   keys.reserve(replicas_.size());
   for (const auto& [key, reps] : replicas_) keys.push_back(key);
@@ -424,24 +383,20 @@ std::vector<storage::TupleKey> RoutingTable::ReplicatedKeys() const {
 void RoutingTable::ForEachReplicated(
     const std::function<void(storage::TupleKey, const Placement&)>& fn)
     const {
-  std::unique_lock<std::mutex> lock(mu_);
   auto it = replicas_.begin();
   while (it != replicas_.end()) {
     const storage::TupleKey key = it->first;
     Placement placement;
-    std::optional<PartitionId> primary = PrimaryLocked(key);
-    placement.primary = primary.value_or(0);
+    placement.primary = PrimaryOf(key).value_or(0);
     placement.replicas = it->second;
-    // Run the callback unlocked so it may mutate the table (promotion,
-    // replica drops); resume past the visited key afterwards.
-    lock.unlock();
+    // The callback may mutate the table (promotion, replica drops) and
+    // invalidate `it`: resume past the visited key afterwards.
     fn(key, placement);
-    lock.lock();
     it = replicas_.upper_bound(key);
   }
 }
 
-uint64_t RoutingTable::RecountPrimariesLocked(PartitionId partition) const {
+uint64_t RoutingTable::RecountPrimaries(PartitionId partition) const {
   uint64_t count = 0;
   for (const auto& [start, range] : base_) {
     if (range.round_robin) {
@@ -452,15 +407,15 @@ uint64_t RoutingTable::RecountPrimariesLocked(PartitionId partition) const {
       count += range.end - start;
     }
   }
-  for (const auto& [key, p] : primary_exc_) {
-    std::optional<PartitionId> owner = BaseOwnerLocked(key);
+  exceptions_.ForEach([&](storage::TupleKey key, uint32_t p) {
+    std::optional<PartitionId> owner = BaseOwner(key);
     if (owner.has_value() && *owner == partition) --count;
     if (p == partition) ++count;
-  }
+  });
   return count;
 }
 
-uint64_t RoutingTable::RecountReplicasLocked(PartitionId partition) const {
+uint64_t RoutingTable::RecountReplicas(PartitionId partition) const {
   uint64_t count = 0;
   for (const auto& [key, reps] : replicas_) {
     count += static_cast<uint64_t>(
@@ -470,50 +425,30 @@ uint64_t RoutingTable::RecountReplicasLocked(PartitionId partition) const {
 }
 
 uint64_t RoutingTable::CountPrimaries(PartitionId partition) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const uint64_t count =
       partition < primaries_count_.size() ? primaries_count_[partition] : 0;
-  assert(count == RecountPrimariesLocked(partition) &&
+  assert(count == RecountPrimaries(partition) &&
          "primary counter diverged from the interval structure");
   return count;
 }
 
 uint64_t RoutingTable::CountReplicas(PartitionId partition) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const uint64_t count =
       partition < replicas_count_.size() ? replicas_count_[partition] : 0;
-  assert(count == RecountReplicasLocked(partition) &&
+  assert(count == RecountReplicas(partition) &&
          "replica counter diverged from the replica index");
   return count;
 }
 
-uint64_t RoutingTable::replicated_key_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return replicas_.size();
-}
-
-size_t RoutingTable::range_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return base_.size();
-}
-
-size_t RoutingTable::exception_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return primary_exc_.size();
-}
-
 size_t RoutingTable::ApproxBytes() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  // Rule of thumb: tree nodes carry ~3 pointers + color, hash tables one
-  // bucket pointer per slot plus the entry itself.
+  // Rule of thumb: tree nodes carry ~3 pointers + color, node-based hash
+  // tables one bucket pointer per slot plus the entry itself. The
+  // exception overlay is one flat slot array, counted exactly.
   constexpr size_t kTreeOverhead = 4 * sizeof(void*);
   size_t bytes = sizeof(*this);
   bytes += base_.size() *
            (sizeof(storage::TupleKey) + sizeof(BaseRange) + kTreeOverhead);
-  bytes += primary_exc_.size() *
-               (sizeof(storage::TupleKey) + sizeof(PartitionId) +
-                2 * sizeof(void*)) +
-           primary_exc_.bucket_count() * sizeof(void*);
+  bytes += exceptions_.bytes();
   for (const auto& [key, reps] : replicas_) {
     bytes += sizeof(storage::TupleKey) + sizeof(reps) + kTreeOverhead +
              reps.capacity() * sizeof(PartitionId);
@@ -526,18 +461,7 @@ size_t RoutingTable::ApproxBytes() const {
   return bytes;
 }
 
-uint64_t RoutingTable::version() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return version_;
-}
-
-void RoutingTable::EnableEpochTracking() {
-  std::lock_guard<std::mutex> guard(mu_);
-  track_epochs_ = true;
-}
-
 uint64_t RoutingTable::PlacementEpoch(storage::TupleKey key) const {
-  std::lock_guard<std::mutex> guard(mu_);
   auto it = epochs_.find(key);
   return it == epochs_.end() ? 0 : it->second;
 }

@@ -13,7 +13,11 @@
 // Exceptions are absorbed back into the range when a key's placement
 // returns to its range owner, and migrations at a block range's first or
 // last key split/coalesce the range itself instead of leaving a point
-// entry behind.
+// entry behind. The overlay is a flat open-addressing table
+// (exception_overlay.h), the same structure at 500k and at 4M keys.
+//
+// Not thread-safe: each simulated cell owns its cluster, routing table
+// included, and drives it from its single event-loop thread.
 
 #ifndef SOAP_ROUTER_ROUTING_TABLE_H_
 #define SOAP_ROUTER_ROUTING_TABLE_H_
@@ -21,13 +25,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/router/exception_overlay.h"
 #include "src/storage/tuple.h"
 
 namespace soap::router {
@@ -45,7 +49,7 @@ struct Placement {
 };
 
 /// Key -> placement lookup table backed by interval entries with a
-/// point-exception overlay (see file comment). Thread-safe.
+/// point-exception overlay (see file comment). Single-threaded.
 class RoutingTable {
  public:
   /// Creates a table for keys [0, num_keys) all initially unassigned;
@@ -103,12 +107,11 @@ class RoutingTable {
   std::vector<storage::TupleKey> ReplicatedKeys() const;
 
   /// Visits every replicated key in ascending order with its current
-  /// placement. The table is unlocked while `fn` runs, so the callback
-  /// may mutate the table (promote, drop replicas); keys replicated
-  /// *after* the visited key mid-sweep are still visited, and the
-  /// placement passed is a consistent snapshot taken when its key is
-  /// reached. Replaces materializing ReplicatedKeys() on failover and
-  /// coherence sweeps.
+  /// placement. The callback may mutate the table (promote, drop
+  /// replicas): the sweep resumes past the visited key, so keys
+  /// replicated *after* it mid-sweep are still visited, and the placement
+  /// passed is a copy taken when its key is reached. Replaces
+  /// materializing ReplicatedKeys() on failover and coherence sweeps.
   void ForEachReplicated(
       const std::function<void(storage::TupleKey, const Placement&)>& fn)
       const;
@@ -127,13 +130,13 @@ class RoutingTable {
   uint64_t CountReplicas(PartitionId partition) const;
 
   /// Number of keys with at least one non-primary replica.
-  uint64_t replicated_key_count() const;
+  uint64_t replicated_key_count() const { return replicas_.size(); }
 
   /// Interval entries currently in the base layer (ranges).
-  size_t range_count() const;
+  size_t range_count() const { return base_.size(); }
 
   /// Keys currently carried as point exceptions over the base layer.
-  size_t exception_count() const;
+  size_t exception_count() const { return exceptions_.size(); }
 
   /// Rough heap footprint of the table (entries + index overhead), for
   /// scaling reports. Not an allocator-exact byte count.
@@ -141,14 +144,14 @@ class RoutingTable {
 
   /// Routing-table version, bumped on every mutation (lets caches detect
   /// staleness).
-  uint64_t version() const;
+  uint64_t version() const { return version_; }
 
   /// Opt-in per-key placement epochs for the consistency checker: every
   /// primary-changing mutation (SetPrimary, Migrate, Promote) bumps the
   /// key's epoch, giving failover a monotonic freshness counter to assert
   /// on. Off by default — enabling it is the only way the table allocates
   /// the epoch map.
-  void EnableEpochTracking();
+  void EnableEpochTracking() { track_epochs_ = true; }
   /// The key's placement epoch (0 until the first tracked mutation, or
   /// always when tracking is off).
   uint64_t PlacementEpoch(storage::TupleKey key) const;
@@ -162,49 +165,54 @@ class RoutingTable {
     uint32_t modulus = 0;       ///< round-robin divisor (round_robin)
   };
 
-  void BumpEpochLocked(storage::TupleKey key) {
+  void BumpEpoch(storage::TupleKey key) {
     if (track_epochs_) ++epochs_[key];
   }
 
+  /// Validates [start, end) against the key space and the existing
+  /// ranges, then installs `range` at `start`: bumps the primary counters
+  /// and absorbs the point exceptions that now agree with it.
+  Status InstallRange(storage::TupleKey start, const BaseRange& range);
+
   /// The base entry covering `key` (nullptr if uncovered); `start_out`
   /// receives its start key.
-  const BaseRange* FindBaseLocked(storage::TupleKey key,
-                                  storage::TupleKey* start_out) const;
+  const BaseRange* FindBase(storage::TupleKey key,
+                            storage::TupleKey* start_out) const;
   static PartitionId RangeOwner(const BaseRange& range,
                                 storage::TupleKey key) {
     return range.round_robin
                ? static_cast<PartitionId>(key % range.modulus)
                : range.partition;
   }
-  std::optional<PartitionId> BaseOwnerLocked(storage::TupleKey key) const;
-  std::optional<PartitionId> PrimaryLocked(storage::TupleKey key) const;
+  std::optional<PartitionId> BaseOwner(storage::TupleKey key) const;
+  std::optional<PartitionId> PrimaryOf(storage::TupleKey key) const;
 
-  /// The primary-placement mutation core: updates the exception overlay
-  /// (absorbing where possible), splits/coalesces block ranges at their
-  /// boundary keys, and maintains the per-partition primary counters.
-  void SetPrimaryLocked(storage::TupleKey key, PartitionId partition);
+  /// The primary-placement mutation core: one overlay probe finds the
+  /// key's slot, then the overlay is updated (absorbing where possible),
+  /// block ranges split/coalesce at their boundary keys, and the
+  /// per-partition primary counters follow.
+  void PlacePrimary(storage::TupleKey key, PartitionId partition);
   /// Block-range restructuring for a boundary (or singleton) key; returns
   /// false when the key is interior and must become an exception.
-  bool RestructureBlockLocked(storage::TupleKey start, storage::TupleKey key,
-                              PartitionId partition);
+  bool RestructureBlock(storage::TupleKey start, storage::TupleKey key,
+                        PartitionId partition);
   /// Merges `base_[start]` with equal-owner adjacent block ranges.
-  void CoalesceAroundLocked(storage::TupleKey start);
+  void CoalesceAround(storage::TupleKey start);
 
   void BumpPrimaryCount(PartitionId partition, int64_t delta);
   void BumpReplicaCount(PartitionId partition, int64_t delta);
 
   /// Structural O(ranges + exceptions) recount backing the debug assert
   /// in CountPrimaries.
-  uint64_t RecountPrimariesLocked(PartitionId partition) const;
-  uint64_t RecountReplicasLocked(PartitionId partition) const;
+  uint64_t RecountPrimaries(PartitionId partition) const;
+  uint64_t RecountReplicas(PartitionId partition) const;
 
-  mutable std::mutex mu_;
   uint64_t num_keys_;
   /// Sorted, non-overlapping interval entries, keyed by start.
   std::map<storage::TupleKey, BaseRange> base_;
   /// Keys whose primary differs from their base range (or that have no
-  /// base range at all). Hash-indexed: this is the hot lookup path.
-  std::unordered_map<storage::TupleKey, PartitionId> primary_exc_;
+  /// base range at all). Probed first on every lookup: the hot path.
+  ExceptionOverlay exceptions_;
   /// Replica lists, ordered by key so failover/coherence sweeps iterate
   /// deterministically without materializing + sorting.
   std::map<storage::TupleKey, std::vector<PartitionId>> replicas_;

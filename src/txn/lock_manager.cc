@@ -6,7 +6,6 @@
 namespace soap::txn {
 
 void LockManager::Reserve(size_t expected_keys, size_t expected_txns) {
-  std::unique_lock<std::mutex> guard(mu_);
   table_.reserve(expected_keys);
   held_.reserve(expected_txns);
   waiting_on_.reserve(expected_txns);
@@ -42,7 +41,6 @@ bool LockManager::Compatible(const Entry& entry, TxnId txn, LockMode mode) {
 
 AcquireOutcome LockManager::Acquire(TxnId txn, storage::TupleKey key,
                                     LockMode mode, GrantCallback on_grant) {
-  std::unique_lock<std::mutex> guard(mu_);
   stats_.acquires++;
   if (m_acquires_) m_acquires_->Increment();
   assert(waiting_on_.find(txn) == waiting_on_.end() &&
@@ -135,90 +133,80 @@ void LockManager::GrantWaiters(storage::TupleKey key, Entry& entry,
 }
 
 void LockManager::Release(TxnId txn, storage::TupleKey key) {
-  std::vector<GrantCallback> callbacks;
-  {
-    std::unique_lock<std::mutex> guard(mu_);
-    auto it = table_.find(key);
-    if (it == table_.end()) return;
-    Entry& entry = it->second;
-    entry.holders.erase(
-        std::remove_if(entry.holders.begin(), entry.holders.end(),
-                       [txn](const Holder& h) { return h.txn == txn; }),
-        entry.holders.end());
-    auto held_it = held_.find(txn);
-    if (held_it != held_.end()) {
-      auto& keys = held_it->second;
-      keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
-      if (keys.empty()) held_.erase(held_it);
-    }
-    GrantWaiters(key, entry, &callbacks);
-    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
+  auto it = table_.find(key);
+  if (it == table_.end()) return;
+  Entry& entry = it->second;
+  entry.holders.erase(
+      std::remove_if(entry.holders.begin(), entry.holders.end(),
+                     [txn](const Holder& h) { return h.txn == txn; }),
+      entry.holders.end());
+  auto held_it = held_.find(txn);
+  if (held_it != held_.end()) {
+    auto& keys = held_it->second;
+    keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
+    if (keys.empty()) held_.erase(held_it);
   }
+  std::vector<GrantCallback> callbacks;
+  GrantWaiters(key, entry, &callbacks);
+  if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
   for (auto& cb : callbacks) cb();
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
   std::vector<GrantCallback> callbacks;
-  {
-    std::unique_lock<std::mutex> guard(mu_);
-    // Drop a pending wait first.
-    auto wait_it = waiting_on_.find(txn);
-    if (wait_it != waiting_on_.end()) {
-      const storage::TupleKey key = wait_it->second;
-      Entry& entry = table_[key];
-      entry.waiters.erase(
-          std::remove_if(entry.waiters.begin(), entry.waiters.end(),
-                         [txn](const Waiter& w) { return w.txn == txn; }),
-          entry.waiters.end());
-      waiting_on_.erase(wait_it);
-      stats_.cancelled_waits++;
-      if (m_cancelled_waits_) m_cancelled_waits_->Increment();
+  // Drop a pending wait first.
+  auto wait_it = waiting_on_.find(txn);
+  if (wait_it != waiting_on_.end()) {
+    const storage::TupleKey key = wait_it->second;
+    Entry& entry = table_[key];
+    entry.waiters.erase(
+        std::remove_if(entry.waiters.begin(), entry.waiters.end(),
+                       [txn](const Waiter& w) { return w.txn == txn; }),
+        entry.waiters.end());
+    waiting_on_.erase(wait_it);
+    stats_.cancelled_waits++;
+    if (m_cancelled_waits_) m_cancelled_waits_->Increment();
+    GrantWaiters(key, entry, &callbacks);
+    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
+  }
+  // Then every held lock.
+  auto held_it = held_.find(txn);
+  if (held_it != held_.end()) {
+    std::vector<storage::TupleKey> keys = std::move(held_it->second);
+    held_.erase(held_it);
+    for (storage::TupleKey key : keys) {
+      auto it = table_.find(key);
+      if (it == table_.end()) continue;
+      Entry& entry = it->second;
+      entry.holders.erase(
+          std::remove_if(entry.holders.begin(), entry.holders.end(),
+                         [txn](const Holder& h) { return h.txn == txn; }),
+          entry.holders.end());
       GrantWaiters(key, entry, &callbacks);
-      if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
-    }
-    // Then every held lock.
-    auto held_it = held_.find(txn);
-    if (held_it != held_.end()) {
-      std::vector<storage::TupleKey> keys = std::move(held_it->second);
-      held_.erase(held_it);
-      for (storage::TupleKey key : keys) {
-        auto it = table_.find(key);
-        if (it == table_.end()) continue;
-        Entry& entry = it->second;
-        entry.holders.erase(
-            std::remove_if(entry.holders.begin(), entry.holders.end(),
-                           [txn](const Holder& h) { return h.txn == txn; }),
-            entry.holders.end());
-        GrantWaiters(key, entry, &callbacks);
-        if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
-      }
+      if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
     }
   }
   for (auto& cb : callbacks) cb();
 }
 
 bool LockManager::CancelWait(TxnId txn) {
+  auto wait_it = waiting_on_.find(txn);
+  if (wait_it == waiting_on_.end()) return false;
+  const storage::TupleKey key = wait_it->second;
+  Entry& entry = table_[key];
+  const size_t before = entry.waiters.size();
+  entry.waiters.erase(
+      std::remove_if(entry.waiters.begin(), entry.waiters.end(),
+                     [txn](const Waiter& w) { return w.txn == txn; }),
+      entry.waiters.end());
+  const bool cancelled = entry.waiters.size() < before;
+  waiting_on_.erase(wait_it);
+  stats_.cancelled_waits++;
+  if (m_cancelled_waits_) m_cancelled_waits_->Increment();
+  // Removing a blocking waiter at the front may unblock those behind it.
   std::vector<GrantCallback> callbacks;
-  bool cancelled = false;
-  {
-    std::unique_lock<std::mutex> guard(mu_);
-    auto wait_it = waiting_on_.find(txn);
-    if (wait_it == waiting_on_.end()) return false;
-    const storage::TupleKey key = wait_it->second;
-    Entry& entry = table_[key];
-    const size_t before = entry.waiters.size();
-    entry.waiters.erase(
-        std::remove_if(entry.waiters.begin(), entry.waiters.end(),
-                       [txn](const Waiter& w) { return w.txn == txn; }),
-        entry.waiters.end());
-    cancelled = entry.waiters.size() < before;
-    waiting_on_.erase(wait_it);
-    stats_.cancelled_waits++;
-    if (m_cancelled_waits_) m_cancelled_waits_->Increment();
-    // Removing a blocking waiter at the front may unblock those behind it.
-    GrantWaiters(key, entry, &callbacks);
-    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
-  }
+  GrantWaiters(key, entry, &callbacks);
+  if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
   for (auto& cb : callbacks) cb();
   return cancelled;
 }
@@ -264,7 +252,6 @@ void LockManager::RecordHold(TxnId txn, storage::TupleKey key,
 
 bool LockManager::Holds(TxnId txn, storage::TupleKey key,
                         LockMode mode) const {
-  std::unique_lock<std::mutex> guard(mu_);
   auto it = table_.find(key);
   if (it == table_.end()) return false;
   for (const Holder& h : it->second.holders) {
@@ -275,13 +262,11 @@ bool LockManager::Holds(TxnId txn, storage::TupleKey key,
 }
 
 size_t LockManager::WaiterCount(storage::TupleKey key) const {
-  std::unique_lock<std::mutex> guard(mu_);
   auto it = table_.find(key);
   return it == table_.end() ? 0 : it->second.waiters.size();
 }
 
 size_t LockManager::LockedKeyCount() const {
-  std::unique_lock<std::mutex> guard(mu_);
   size_t count = 0;
   for (const auto& [key, entry] : table_) {
     if (!entry.holders.empty()) ++count;

@@ -6,15 +6,16 @@
 //
 // Tuple keys are globally unique and partitions hold disjoint key ranges,
 // so one logical lock table is semantically identical to one table per
-// node; a real deployment would shard this class by node (it is
-// thread-safe), and the cluster layer records per-node contention stats.
+// node; a real deployment would shard this class by node, and the cluster
+// layer records per-node contention stats. Not thread-safe: each simulated
+// cell owns its lock table and drives it from its single event-loop
+// thread.
 
 #ifndef SOAP_TXN_LOCK_MANAGER_H_
 #define SOAP_TXN_LOCK_MANAGER_H_
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -44,15 +45,14 @@ struct LockStats {
   uint64_t cancelled_waits = 0;
 };
 
-/// The lock table. Thread-safe; within the simulator it is driven from the
-/// single event-loop thread.
+/// The lock table. Single-threaded: driven from its cell's event loop.
 class LockManager {
  public:
   /// Invoked when a queued request is granted. The callback runs inside
-  /// the Release/CancelWait call that unblocked it; implementations should
-  /// only schedule simulator work, not re-enter the lock manager
-  /// synchronously with long critical sections. Move-only and inline up to
-  /// sim::InlineFn::kInlineCapacity — the grant path allocates nothing.
+  /// the Release/CancelWait call that unblocked it, after the lock table
+  /// is consistent again; implementations should only schedule simulator
+  /// work. Move-only and inline up to sim::InlineFn::kInlineCapacity —
+  /// the grant path allocates nothing.
   using GrantCallback = sim::InlineFn;
 
   LockManager() = default;
@@ -119,8 +119,8 @@ class LockManager {
   static bool Compatible(const Entry& entry, TxnId txn, LockMode mode);
 
   /// Grants every waiter at the front of `entry`'s queue that is now
-  /// compatible. Collects callbacks; caller invokes them outside the
-  /// per-entry mutation.
+  /// compatible. Collects callbacks; the caller invokes them once the
+  /// table mutation is complete, so a callback may re-enter the manager.
   void GrantWaiters(storage::TupleKey key, Entry& entry,
                     std::vector<GrantCallback>* callbacks);
 
@@ -129,7 +129,6 @@ class LockManager {
 
   void RecordHold(TxnId txn, storage::TupleKey key, LockMode mode);
 
-  mutable std::mutex mu_;
   std::unordered_map<storage::TupleKey, Entry> table_;
   /// Keys each transaction holds (for ReleaseAll).
   std::unordered_map<TxnId, std::vector<storage::TupleKey>> held_;

@@ -1,9 +1,12 @@
 // Interval/exception behaviour of the range-based RoutingTable: bulk range
 // assignment, block-range split and coalesce at boundary keys, exception
-// absorption, O(1) counters, ForEachReplicated under mutation, and a
-// randomized differential against a dense per-key reference model.
+// absorption, O(1) counters, ForEachReplicated under mutation, the
+// exception overlay's backward-shift deletion, and randomized
+// differentials against a dense per-key reference model.
 
 #include "src/router/routing_table.h"
+
+#include "src/router/exception_overlay.h"
 
 #include <gtest/gtest.h>
 
@@ -328,6 +331,179 @@ TEST(RoutingIntervalTest, RandomizedDifferentialAgainstDenseModel) {
   EXPECT_EQ(rt.replicated_key_count(), replicated);
   EXPECT_LE(rt.exception_count(), kKeys);
   EXPECT_GT(rt.ApproxBytes(), 0u);
+}
+
+// Keys below `limit` whose home slot is `slot` in a fresh overlay, the
+// capacity a RoutingTable's overlay keeps while it holds few exceptions.
+std::vector<storage::TupleKey> KeysHomedAt(size_t slot, size_t count,
+                                           storage::TupleKey limit) {
+  const ExceptionOverlay fresh;
+  std::vector<storage::TupleKey> keys;
+  for (storage::TupleKey k = 0; k < limit && keys.size() < count; ++k) {
+    if (fresh.HomeSlot(k) == slot) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(ExceptionOverlayTest, BackwardShiftKeepsWrappedChainReachable) {
+  ExceptionOverlay overlay;
+  const size_t last = overlay.capacity() - 1;
+  // a, b, c share the last home slot, so b and c wrap to slots 0 and 1;
+  // d (home 0) is displaced to slot 2 and e (home 3) sits at its home.
+  const std::vector<storage::TupleKey> wrapped = KeysHomedAt(last, 3, 4096);
+  const storage::TupleKey d = KeysHomedAt(0, 1, 4096).at(0);
+  const storage::TupleKey e = KeysHomedAt(3, 1, 4096).at(0);
+  ASSERT_EQ(wrapped.size(), 3u);
+  std::vector<storage::TupleKey> keys = wrapped;
+  keys.push_back(d);
+  keys.push_back(e);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    overlay.InsertAt(overlay.Probe(keys[i]), keys[i],
+                     static_cast<uint32_t>(i + 10));
+  }
+  EXPECT_EQ(overlay.Probe(wrapped[0]), last);
+  EXPECT_EQ(overlay.Probe(wrapped[2]), 1u);
+  EXPECT_EQ(overlay.Probe(d), 2u);
+  EXPECT_EQ(overlay.Probe(e), 3u);
+
+  // Erasing a pulls b, c and d back one slot across the wrap; e stays.
+  overlay.EraseAt(overlay.Probe(wrapped[0]));
+  EXPECT_EQ(overlay.size(), 4u);
+  EXPECT_EQ(overlay.Find(wrapped[0]), nullptr);
+  EXPECT_EQ(overlay.Probe(wrapped[1]), last);
+  EXPECT_EQ(overlay.Probe(wrapped[2]), 0u);
+  EXPECT_EQ(overlay.Probe(d), 1u);
+  EXPECT_EQ(overlay.Probe(e), 3u);
+  EXPECT_FALSE(overlay.occupied(2));
+  for (size_t i = 1; i < keys.size(); ++i) {
+    const uint32_t* p = overlay.Find(keys[i]);
+    ASSERT_NE(p, nullptr) << "key " << keys[i];
+    EXPECT_EQ(*p, static_cast<uint32_t>(i + 10));
+  }
+}
+
+TEST(RoutingIntervalTest, AbsorbedKeyLeavesProbeChainNeighboursReachable) {
+  constexpr uint64_t kKeys = 4096;
+  constexpr uint32_t kParts = 4;
+  RoutingTable rt(kKeys);
+  ASSERT_TRUE(rt.AssignRoundRobin(0, kKeys, kParts).ok());
+  // Three keys colliding on the overlay's last home slot (a wrapped chain)
+  // plus one homed at slot 0 that the wrap displaces.
+  const size_t last = ExceptionOverlay().capacity() - 1;
+  std::vector<storage::TupleKey> keys = KeysHomedAt(last, 3, kKeys);
+  keys.push_back(KeysHomedAt(0, 1, kKeys).at(0));
+  ASSERT_EQ(keys.size(), 4u);
+  auto owner = [](storage::TupleKey k) {
+    return static_cast<PartitionId>(k % kParts);
+  };
+  auto moved = [](storage::TupleKey k) {
+    return static_cast<PartitionId>((k + 1) % kParts);
+  };
+  for (storage::TupleKey k : keys) {
+    ASSERT_TRUE(rt.Migrate(k, owner(k), moved(k)).ok());
+  }
+  ASSERT_EQ(rt.exception_count(), keys.size());
+
+  // Absorb the chain head back into its round-robin range.
+  ASSERT_TRUE(rt.Migrate(keys[0], moved(keys[0]), owner(keys[0])).ok());
+  EXPECT_EQ(rt.exception_count(), keys.size() - 1);
+  EXPECT_EQ(*rt.GetPrimary(keys[0]), owner(keys[0]));
+  for (size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_EQ(*rt.GetPrimary(keys[i]), moved(keys[i])) << "key " << keys[i];
+  }
+  // And a middle member, through SetPrimary this time.
+  ASSERT_TRUE(rt.SetPrimary(keys[1], owner(keys[1])).ok());
+  EXPECT_EQ(rt.exception_count(), keys.size() - 2);
+  EXPECT_EQ(*rt.GetPrimary(keys[2]), moved(keys[2]));
+  EXPECT_EQ(*rt.GetPrimary(keys[3]), moved(keys[3]));
+  for (uint32_t p = 0; p < kParts; ++p) {
+    uint64_t expected = 0;
+    for (storage::TupleKey k = 0; k < kKeys; ++k) {
+      const bool off = k == keys[2] || k == keys[3];
+      expected += (off ? moved(k) : owner(k)) == p;
+    }
+    EXPECT_EQ(rt.CountPrimaries(p), expected) << "part " << p;
+  }
+}
+
+// Delete-heavy churn on a small keyspace: keys keep leaving their
+// round-robin owner and returning to it, so the overlay's backward-shift
+// deletes run across wrapped probe chains. The target exception
+// population rises mid-run (the overlay grows several times while churning)
+// and falls again.
+TEST(RoutingIntervalTest, ExceptionChurnAgainstDenseModel) {
+  constexpr uint64_t kKeys = 384;
+  constexpr uint32_t kParts = 4;
+  constexpr int kSteps = 30'000;
+  RoutingTable rt(kKeys);
+  ASSERT_TRUE(rt.AssignRoundRobin(0, kKeys, kParts).ok());
+  DenseModel model(kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    model.SetPrimary(k, static_cast<PartitionId>(k % kParts));
+  }
+  auto off_owner = [&](uint64_t k) {
+    return model.keys[k].primary != static_cast<PartitionId>(k % kParts);
+  };
+  uint64_t off = 0;
+
+  auto check = [&](int step) {
+    ASSERT_EQ(rt.exception_count(), off) << "step " << step;
+    std::vector<uint64_t> primaries(kParts, 0);
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      Result<Placement> got = rt.GetPlacement(key);
+      ASSERT_TRUE(got.ok()) << "key " << key;
+      ASSERT_EQ(got->primary, model.keys[key].primary)
+          << "key " << key << " at step " << step;
+      ASSERT_TRUE(got->replicas.empty());
+      primaries[model.keys[key].primary]++;
+    }
+    for (uint32_t part = 0; part < kParts; ++part) {
+      ASSERT_EQ(rt.CountPrimaries(part), primaries[part])
+          << "part " << part << " at step " << step;
+    }
+  };
+
+  std::mt19937_64 rng(0x5EED);
+  for (int step = 0; step < kSteps; ++step) {
+    // Small population, then ~200 exceptions, then small again.
+    const uint64_t target =
+        step < kSteps / 3 ? 6 : (step < 2 * kSteps / 3 ? 200 : 10);
+    const uint64_t k = rng() % kKeys;
+    const auto owner = static_cast<PartitionId>(k % kParts);
+    const bool leave = off < target ? rng() % 4 != 0 : rng() % 4 == 0;
+    if (off_owner(k)) {
+      if (leave) {
+        // Re-target an existing exception without absorbing it.
+        const PartitionId from = model.keys[k].primary;
+        PartitionId to = static_cast<PartitionId>(rng() % kParts);
+        if (to == owner || to == from) continue;
+        ASSERT_TRUE(rt.Migrate(k, from, to).ok());
+        model.Migrate(k, from, to);
+      } else {
+        // Return home: half via Migrate, half via SetPrimary.
+        const PartitionId from = model.keys[k].primary;
+        if (rng() % 2 == 0) {
+          ASSERT_TRUE(rt.Migrate(k, from, owner).ok());
+        } else {
+          ASSERT_TRUE(rt.SetPrimary(k, owner).ok());
+        }
+        model.Migrate(k, from, owner);
+        --off;
+      }
+    } else if (leave) {
+      const auto to =
+          static_cast<PartitionId>((owner + 1 + rng() % (kParts - 1)) %
+                                   kParts);
+      ASSERT_TRUE(rt.Migrate(k, owner, to).ok());
+      model.Migrate(k, owner, to);
+      ++off;
+    }
+    if (step % 500 == 499) {
+      check(step);
+      if (HasFatalFailure()) return;
+    }
+  }
+  check(kSteps);
 }
 
 }  // namespace
