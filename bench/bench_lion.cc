@@ -99,12 +99,12 @@ engine::ExperimentConfig BaseConfig(bool smoke) {
   config.planner_options.builder.max_ops = 8192;
   // Both modes get the static replica machinery; lion builds on top of it.
   config.replicas.enabled = true;
-  config.replicas.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
   return config;
 }
 
 engine::ExperimentConfig WithLion(engine::ExperimentConfig config) {
-  config.lion.enabled = true;
+  config.planner_options.builder.lion.enabled = true;
   return config;
 }
 

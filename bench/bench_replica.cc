@@ -68,7 +68,7 @@ engine::ExperimentConfig BaseConfig(bool smoke) {
 engine::ExperimentConfig WithReplicas(engine::ExperimentConfig config) {
   config.replicas.enabled = true;
   // The hub is read from every partition; let copies reach all of them.
-  config.replicas.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
   return config;
 }
 

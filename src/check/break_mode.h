@@ -7,8 +7,6 @@
 #ifndef SOAP_CHECK_BREAK_MODE_H_
 #define SOAP_CHECK_BREAK_MODE_H_
 
-#include <string>
-
 namespace soap::check {
 
 enum class BreakMode {
@@ -33,39 +31,6 @@ enum class BreakMode {
   /// double_primary / ownership). Only meaningful under --lion.
   kDoublePrimary,
 };
-
-inline const char* BreakModeName(BreakMode mode) {
-  switch (mode) {
-    case BreakMode::kNone: return "none";
-    case BreakMode::kReplicaApply: return "replica_apply";
-    case BreakMode::kDoubleDeploy: return "double_deploy";
-    case BreakMode::kLostWrite: return "lost_write";
-    case BreakMode::kStaleSnapshot: return "stale_snapshot";
-    case BreakMode::kDoublePrimary: return "double_primary";
-  }
-  return "none";
-}
-
-/// Parses a --check_break value; empty and "none" mean kNone. Returns
-/// false on an unknown mode name.
-inline bool ParseBreakMode(const std::string& text, BreakMode* mode) {
-  if (text.empty() || text == "none") {
-    *mode = BreakMode::kNone;
-  } else if (text == "replica_apply") {
-    *mode = BreakMode::kReplicaApply;
-  } else if (text == "double_deploy") {
-    *mode = BreakMode::kDoubleDeploy;
-  } else if (text == "lost_write") {
-    *mode = BreakMode::kLostWrite;
-  } else if (text == "stale_snapshot") {
-    *mode = BreakMode::kStaleSnapshot;
-  } else if (text == "double_primary") {
-    *mode = BreakMode::kDoublePrimary;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace soap::check
 

@@ -8,10 +8,7 @@ namespace soap::cluster {
 void Node::RunJob(Duration service, WorkCategory category,
                   JobClass job_class, sim::InlineFn done) {
   assert(service >= 0);
-  if (down_) {
-    ++jobs_dropped_;
-    return;
-  }
+  if (down_) return;
   Job job{service, category, std::move(done)};
   if (free_workers_ > 0) {
     StartJob(std::move(job));
@@ -60,7 +57,6 @@ void Node::OnJobDone(uint64_t job_id) {
 }
 
 void Node::Crash() {
-  jobs_dropped_ += bulk_queue_.size() + urgent_queue_.size();
   bulk_queue_.clear();
   urgent_queue_.clear();
   // Vaporise running jobs: their completion events will find no entry.

@@ -60,7 +60,6 @@ class Node {
   void Crash();
   void Restart() { down_ = false; }
   bool down() const { return down_; }
-  uint64_t jobs_dropped() const { return jobs_dropped_; }
 
   /// Virtual time workers have spent busy, per category.
   Duration busy_time(WorkCategory category) const {
@@ -70,7 +69,6 @@ class Node {
     return busy_time_[0] + busy_time_[1] + busy_time_[2];
   }
 
-  uint32_t free_workers() const { return free_workers_; }
   size_t queued_jobs() const {
     return bulk_queue_.size() + urgent_queue_.size();
   }
@@ -95,7 +93,6 @@ class Node {
   Duration busy_time_[3] = {0, 0, 0};
   uint64_t jobs_run_ = 0;
   bool down_ = false;
-  uint64_t jobs_dropped_ = 0;
   /// Completion callbacks of currently running jobs, keyed by job id (at
   /// most `workers_` entries, so a flat vector beats a hash map). Keeping
   /// the InlineFn here instead of inside the completion closure keeps that

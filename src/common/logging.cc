@@ -41,6 +41,8 @@ Logger& Logger::Instance() {
   return logger;
 }
 
+void Logger::set_clock(ClockFn clock) { clock_ = std::move(clock); }
+
 void Logger::Write(LogLevel level, const std::string& message) {
   std::lock_guard<std::mutex> guard(SinkMutex());
   if (clock_) {

@@ -44,8 +44,10 @@ class Logger {
   /// of a run; whoever installs a clock must remove it before the clock's
   /// referent dies. The hook is thread-local: experiments running on
   /// parallel threads (engine::ParallelRunner) each stamp their own lines
-  /// with their own simulator's virtual time.
-  void set_clock(ClockFn clock) { clock_ = std::move(clock); }
+  /// with their own simulator's virtual time. Defined in logging.cc next
+  /// to the thread_local: inlined into other translation units, the
+  /// assignment tripped UBSan's null-reference check in optimised builds.
+  void set_clock(ClockFn clock);
 
   void Write(LogLevel level, const std::string& message);
 

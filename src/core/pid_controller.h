@@ -48,7 +48,6 @@ class PidController {
   void Reset();
 
   double integral() const { return integral_; }
-  double last_error() const { return last_error_.value_or(0.0); }
 
   /// Individual terms of the last Update (pre-clamp decomposition of u):
   /// what the observability layer exports as soap_pid_{p,i,d}_term.

@@ -137,66 +137,37 @@ struct CheckOptions {
   bool enabled = false;
   /// JSONL dump of the recorded history (empty: off; implies enabled).
   std::string history_out;
-  /// Deliberate-corruption mode ("replica_apply", "double_deploy",
-  /// "lost_write", "stale_snapshot"; empty/"none": off; implies enabled).
-  /// Used by tests to prove the checker detects each bug class.
-  std::string break_mode;
+  /// Deliberate-corruption mode (kNone: off; anything else implies
+  /// enabled). Used by tests to prove the checker detects each bug class.
+  check::BreakMode break_mode = check::BreakMode::kNone;
 
   bool Enabled() const {
     return enabled || !history_out.empty() ||
-           (!break_mode.empty() && break_mode != "none");
+           break_mode != check::BreakMode::kNone;
   }
 };
 
 /// Online co-access-graph planner (src/planner/). Disabled by default:
 /// the planner is then never constructed, the one-shot optimizer plan
 /// deploys at the end of warmup as always, and the run stays
-/// byte-identical to the static pipeline.
+/// byte-identical to the static pipeline. Replica planning thresholds
+/// (`builder.max_copies`, `min_read_write_ratio`,
+/// `replica_split_threshold`, `drop_stale_replicas`) and Lion-style
+/// adaptive provisioning (`builder.lion`: budgeted replica cache plus
+/// leader shifting; requires `replicas.enabled` and `enabled`) are set
+/// here and nowhere else.
 using PlannerOptions = planner::PlannerConfig;
 
 /// Primary-copy replication (src/replica/). Off by default; off means no
 /// replica is ever created, every replica-aware branch is a no-op, and
-/// the run is byte-identical to a build without the subsystem.
+/// the run is byte-identical to a build without the subsystem. On, the
+/// planner plans replicas for read-heavy keys (`replicate_read_heavy`
+/// follows this switch) with the thresholds in
+/// `planner_options.builder`.
 struct ReplicaOptions {
   bool enabled = false;
-  /// Total copies (primary included) the planner may give one key.
-  uint32_t max_copies = 2;
-  /// A key is replicated (instead of migrated) when its windowed reads
-  /// exceed this ratio times its windowed writes.
-  double min_read_write_ratio = 3.0;
-  /// Share of a key's co-access pull a second partition must hold before
-  /// the planner replicates instead of migrating (split fan-in test; see
-  /// planner::PlanBuilderConfig::replica_split_threshold).
-  double split_threshold = 0.2;
-  /// Drop replicas whose key went cold, write-heavy or single-reader.
-  bool drop_stale_replicas = true;
-  /// Failure-detection delay before crashed primaries fail over to a
-  /// surviving replica. During the window reads are served by replicas
-  /// (nearest-live-copy routing); writes to the dead primary abort.
-  Duration promotion_delay = Millis(500);
-  /// Catch-up sweep cost on a restarted node (fixed + per stored tuple).
-  Duration catchup_fixed = Millis(50);
-  Duration catchup_per_tuple = Millis(3);
-};
-
-/// Lion-style adaptive replica provisioning (src/lion/): replica placement
-/// treated as a budgeted cache, plus leader shifting so write-hot keys
-/// converge to a single node. Off by default; off means the provisioner is
-/// never constructed and the run is byte-identical to static replica-aware
-/// planning. Requires `replicas.enabled` and `planner_options.enabled`.
-struct LionOptions {
-  bool enabled = false;
-  /// Per-partition cap on planner-created replica copies. Must be >= 0;
-  /// 0 admits no creations (shifting and dropping still run).
-  int64_t replica_budget = 1024;
-  /// Eviction policy applied when the budget is full: "lru" (least
-  /// recently planner-touched copy) or "heat" (coldest key by the
-  /// planner's heat estimate).
-  std::string evict = "lru";
-  /// Share of a key's windowed write mass a replica-holding partition
-  /// must issue before the planner shifts leadership onto it. Must be
-  /// in (0, 1].
-  double shift_threshold = 0.6;
+  /// Failover delay and catch-up sweep costs of the ReplicaManager.
+  replica::ReplicaManagerConfig manager;
 };
 
 /// Production-cardinality scale-out knobs. Below the threshold everything
@@ -227,7 +198,6 @@ struct ExperimentConfig {
   FaultOptions fault_options;
   PlannerOptions planner_options;
   ReplicaOptions replicas;
-  LionOptions lion;
   ScaleOptions scale;
   CheckOptions check;
   ObsOptions obs;
@@ -281,7 +251,8 @@ struct ExperimentResult {
   txn::TpcStats tpc_stats;
   /// Online-planner tallies; all zero unless `planner.enabled` was set.
   planner::PlannerStats planner_stats;
-  /// True when lion adaptive provisioning ran (`lion.enabled`).
+  /// True when lion adaptive provisioning ran
+  /// (`planner_options.builder.lion.enabled`).
   bool lion_enabled = false;
   /// Replication tallies; all zero unless `replicas.enabled` was set.
   bool replicas_enabled = false;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
+#include "src/check/break_mode.h"
 #include "src/common/logging.h"
+#include "src/lion/provisioner.h"
 #include "src/mvcc/cc_mode.h"
 
 namespace soap::engine {
@@ -145,6 +148,74 @@ Status CheckEnumValue(const std::string& flag, const std::string& value,
   return Status::InvalidArgument(message);
 }
 
+namespace {
+
+template <typename Field>
+using FieldType =
+    std::remove_pointer_t<std::invoke_result_t<Field, ExperimentConfig*>>;
+
+// A row bound to the config field `field` points at. The flag's value is
+// assigned only when the flag is given, so the field's initializer in
+// ExperimentConfig stays the one home of its default; `default_text` is
+// only what --help prints. Integers are cast to the field's type.
+template <typename Field>
+FlagDef Bind(const char* name, const char* default_text, const char* help,
+             const char* group, Field field) {
+  using T = FieldType<Field>;
+  FlagType type = FlagType::kString;
+  if constexpr (std::is_same_v<T, bool>) {
+    type = FlagType::kBool;
+  } else if constexpr (std::is_integral_v<T>) {
+    type = FlagType::kInt;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    type = FlagType::kDouble;
+  }
+  return {name, type, default_text, help,
+          [name = std::string(name), field](const Flags& f,
+                                            ExperimentConfig* c) -> Status {
+            if (!f.Has(name)) return Status::OK();
+            T& out = *field(c);
+            if constexpr (std::is_same_v<T, bool>) {
+              out = f.GetBool(name);
+            } else if constexpr (std::is_integral_v<T>) {
+              out = static_cast<T>(f.GetInt(name));
+            } else if constexpr (std::is_floating_point_v<T>) {
+              out = f.GetDouble(name);
+            } else {
+              out = f.GetString(name);
+            }
+            return Status::OK();
+          },
+          /*hidden=*/false, group};
+}
+
+// Bind for an enum field: the value must be one of `values`' spellings
+// (CheckEnumValue suggests a near miss otherwise).
+template <typename Field>
+FlagDef BindEnum(const char* name, const char* default_text, const char* help,
+                 const char* group, Field field,
+                 std::vector<std::pair<std::string, FieldType<Field>>> values,
+                 bool hidden = false) {
+  return {name, FlagType::kString, default_text, help,
+          [name = std::string(name), field, values](
+              const Flags& f, ExperimentConfig* c) -> Status {
+            if (!f.Has(name)) return Status::OK();
+            const std::string v = f.GetString(name);
+            std::vector<std::string> spellings;
+            for (const auto& [spelling, value] : values) {
+              if (v == spelling) {
+                *field(c) = value;
+                return Status::OK();
+              }
+              spellings.push_back(spelling);
+            }
+            return CheckEnumValue(name, v, spellings);
+          },
+          hidden, group};
+}
+
+}  // namespace
+
 Status FlagTable::Apply(const Flags& flags, ExperimentConfig* config) const {
   for (const FlagDef& def : defs_) {
     if (!def.bind) continue;
@@ -158,105 +229,68 @@ FlagTable ExperimentFlagTable() {
   using C = ExperimentConfig*;
   std::vector<FlagDef> defs;
 
-  defs.push_back({"strategy", FlagType::kString, "hybrid",
-                  "applyall|afterall|feedback|piggyback|hybrid",
-                  [](F f, C c) -> Status {
-                    const std::string v = f.GetString("strategy", "hybrid");
-                    if (Status s = CheckEnumValue(
-                            "strategy", v,
-                            {"applyall", "afterall", "feedback", "piggyback",
-                             "hybrid"});
-                        !s.ok()) {
-                      return s;
-                    }
-                    if (v == "applyall") {
-                      c->deployment.strategy = SchedulingStrategy::kApplyAll;
-                    } else if (v == "afterall") {
-                      c->deployment.strategy = SchedulingStrategy::kAfterAll;
-                    } else if (v == "feedback") {
-                      c->deployment.strategy = SchedulingStrategy::kFeedback;
-                    } else if (v == "piggyback") {
-                      c->deployment.strategy = SchedulingStrategy::kPiggyback;
-                    } else {
-                      c->deployment.strategy = SchedulingStrategy::kHybrid;
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "deployment"});
+  defs.push_back(BindEnum(
+      "strategy", "hybrid", "applyall|afterall|feedback|piggyback|hybrid",
+      "deployment", [](C c) { return &c->deployment.strategy; },
+      {{"applyall", SchedulingStrategy::kApplyAll},
+       {"afterall", SchedulingStrategy::kAfterAll},
+       {"feedback", SchedulingStrategy::kFeedback},
+       {"piggyback", SchedulingStrategy::kPiggyback},
+       {"hybrid", SchedulingStrategy::kHybrid}}));
   defs.push_back({"alpha", FlagType::kDouble, "1.0",
                   "fraction of templates starting distributed",
                   nullptr, /*hidden=*/false, "workload"});
   defs.push_back({"workload", FlagType::kString, "zipf", "zipf|uniform",
                   [](F f, C c) -> Status {
-                    const double alpha = f.GetDouble("alpha", 1.0);
+                    if (!f.Has("workload") && !f.Has("alpha")) {
+                      return Status::OK();
+                    }
+                    const double alpha =
+                        f.GetDouble("alpha", c->workload_options.spec.alpha);
                     const std::string v = f.GetString("workload", "zipf");
                     if (Status s = CheckEnumValue("workload", v,
                                                   {"zipf", "uniform"});
                         !s.ok()) {
                       return s;
                     }
-                    if (v == "zipf") {
-                      c->workload_options.spec = workload::WorkloadSpec::Zipf(alpha);
-                    } else {
-                      c->workload_options.spec = workload::WorkloadSpec::Uniform(alpha);
-                    }
+                    c->workload_options.spec =
+                        v == "zipf" ? workload::WorkloadSpec::Zipf(alpha)
+                                    : workload::WorkloadSpec::Uniform(alpha);
                     return Status::OK();
                   },
                   /*hidden=*/false, "workload"});
-  defs.push_back({"templates", FlagType::kInt, "paper",
-                  "distinct transaction templates",
-                  [](F f, C c) -> Status {
-                    if (f.Has("templates")) {
-                      c->workload_options.spec.num_templates =
-                          static_cast<uint32_t>(f.GetInt("templates"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "workload"});
-  defs.push_back({"keys", FlagType::kInt, "paper",
-                  "tuples in the table (above --sketch_threshold the stack "
-                  "switches to lazy storage and sketch-based planning)",
-                  [](F f, C c) -> Status {
-                    if (f.Has("keys")) {
-                      c->workload_options.spec.num_keys =
-                          static_cast<uint64_t>(f.GetInt("keys"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "workload"});
-  defs.push_back({"sketch_threshold", FlagType::kInt, "1000000",
-                  "largest keyspace that keeps the exact per-tuple paths; "
-                  "above it storage bases go lazy and the planner's graph "
-                  "uses top-k + count-min sketches with supernodes",
-                  [](F f, C c) -> Status {
-                    if (f.Has("sketch_threshold")) {
-                      c->scale.sketch_threshold =
-                          static_cast<uint64_t>(f.GetInt("sketch_threshold"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
-  defs.push_back({"sketch_topk", FlagType::kInt, "4096",
-                  "hot tuples tracked exactly by the planner in sketch mode",
-                  [](F f, C c) -> Status {
-                    if (f.Has("sketch_topk")) {
-                      c->scale.sketch_topk =
-                          static_cast<uint32_t>(f.GetInt("sketch_topk"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
+  defs.push_back(Bind("templates", "paper", "distinct transaction templates",
+                      "workload", [](C c) {
+                        return &c->workload_options.spec.num_templates;
+                      }));
+  defs.push_back(Bind(
+      "keys", "paper",
+      "tuples in the table (above --sketch_threshold the stack switches to "
+      "lazy storage and sketch-based planning)",
+      "workload", [](C c) { return &c->workload_options.spec.num_keys; }));
+  defs.push_back(Bind(
+      "sketch_threshold", "1000000",
+      "largest keyspace that keeps the exact per-tuple paths; above it "
+      "storage bases go lazy and the planner's graph uses top-k + "
+      "count-min sketches with supernodes",
+      "planner", [](C c) { return &c->scale.sketch_threshold; }));
+  defs.push_back(Bind("sketch_topk", "4096",
+                      "hot tuples tracked exactly by the planner in sketch "
+                      "mode",
+                      "planner", [](C c) { return &c->scale.sketch_topk; }));
   defs.push_back({"load", FlagType::kString, "high",
                   "high|low, or a raw utilisation number",
                   [](F f, C c) -> Status {
-                    const std::string v = f.GetString("load", "high");
+                    if (!f.Has("load")) return Status::OK();
+                    const std::string v = f.GetString("load");
+                    double& u = c->workload_options.utilization;
                     if (v == "high") {
-                      c->workload_options.utilization = workload::kHighLoadUtilization;
+                      u = workload::kHighLoadUtilization;
                     } else if (v == "low") {
-                      c->workload_options.utilization = workload::kLowLoadUtilization;
+                      u = workload::kLowLoadUtilization;
                     } else {
                       try {
-                        c->workload_options.utilization = std::stod(v);
+                        u = std::stod(v);
                       } catch (...) {
                         return Status::InvalidArgument("bad --load " + v);
                       }
@@ -264,177 +298,71 @@ FlagTable ExperimentFlagTable() {
                     return Status::OK();
                   },
                   /*hidden=*/false, "workload"});
-  defs.push_back({"isolation", FlagType::kString, "readcommitted",
-                  "readcommitted|serializable",
-                  [](F f, C c) -> Status {
-                    const std::string v =
-                        f.GetString("isolation", "readcommitted");
-                    if (Status s = CheckEnumValue(
-                            "isolation", v, {"readcommitted", "serializable"});
-                        !s.ok()) {
-                      return s;
-                    }
-                    if (v == "serializable") {
-                      c->cluster.isolation =
-                          cluster::IsolationLevel::kSerializable;
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "cluster"});
-  defs.push_back({"cc", FlagType::kString, "2pl",
-                  "2pl|mvcc: concurrency control (mvcc = snapshot reads "
-                  "off version chains, lock-free read path, "
-                  "first-updater-wins write conflicts)",
-                  [](F f, C c) -> Status {
-                    const std::string v = f.GetString("cc", "2pl");
-                    if (Status s = CheckEnumValue("cc", v, {"2pl", "mvcc"});
-                        !s.ok()) {
-                      return s;
-                    }
-                    if (!mvcc::ParseCc(v, &c->cluster.cc)) {
-                      return Status::InvalidArgument("unknown --cc " + v);
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "cluster"});
-  defs.push_back({"warmup", FlagType::kInt, "10", "warmup intervals",
-                  [](F f, C c) -> Status {
-                    c->warmup_intervals =
-                        static_cast<uint32_t>(f.GetInt("warmup", 10));
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "deployment"});
-  defs.push_back({"intervals", FlagType::kInt, "125", "measured intervals",
-                  [](F f, C c) -> Status {
-                    c->measured_intervals =
-                        static_cast<uint32_t>(f.GetInt("intervals", 125));
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "deployment"});
-  defs.push_back({"sp", FlagType::kDouble, "1.05",
-                  "feedback setpoint (total/normal cost ratio)",
-                  [](F f, C c) -> Status {
-                    c->deployment.feedback.sp = f.GetDouble("sp", 1.05);
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "deployment"});
-  defs.push_back({"seed", FlagType::kInt, "1", "RNG seed",
-                  [](F f, C c) -> Status {
-                    c->seed = static_cast<uint64_t>(f.GetInt("seed", 1));
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "general"});
-  defs.push_back({"record-trace", FlagType::kString, "",
-                  "save the arrival stream for replay",
-                  [](F f, C c) -> Status {
-                    c->workload_options.record_trace_path = f.GetString("record-trace", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "workload"});
-  defs.push_back({"replay-trace", FlagType::kString, "",
-                  "drive the run from a recorded trace",
-                  [](F f, C c) -> Status {
-                    c->workload_options.replay_trace_path = f.GetString("replay-trace", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "workload"});
-  defs.push_back({"metrics_out", FlagType::kString, "",
-                  "Prometheus text dump of the run's metrics",
-                  [](F f, C c) -> Status {
-                    c->obs.metrics_out = f.GetString("metrics_out", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"metrics_jsonl", FlagType::kString, "",
-                  "per-interval JSONL metric snapshots",
-                  [](F f, C c) -> Status {
-                    c->obs.metrics_jsonl_out =
-                        f.GetString("metrics_jsonl", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"trace_out", FlagType::kString, "",
-                  "Chrome trace JSON (Perfetto-loadable)",
-                  [](F f, C c) -> Status {
-                    c->obs.trace_out = f.GetString("trace_out", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"trace_sample", FlagType::kInt, "1",
-                  "trace every n-th transaction",
-                  [](F f, C c) -> Status {
-                    c->obs.trace_sample =
-                        static_cast<uint32_t>(f.GetInt("trace_sample", 1));
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"audit_out", FlagType::kString, "",
-                  "decision audit log JSONL (replans, plan ops, deploys)",
-                  [](F f, C c) -> Status {
-                    c->obs.audit_out = f.GetString("audit_out", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"timeline_out", FlagType::kString, "",
-                  "per-partition timeline JSONL (load, queues, flows)",
-                  [](F f, C c) -> Status {
-                    c->obs.timeline_out = f.GetString("timeline_out", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"timeline_interval", FlagType::kInt, "1",
-                  "snapshot the timeline every n-th interval",
-                  [](F f, C c) -> Status {
-                    c->obs.timeline_interval = static_cast<uint32_t>(
-                        f.GetInt("timeline_interval", 1));
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "obs"});
-  defs.push_back({"fault_spec", FlagType::kString, "",
-                  "inject faults, e.g. 'crash:node=2,at=120s,down=15s;"
-                  "drop:p=0.01' (see EXPERIMENTS.md)",
-                  [](F f, C c) -> Status {
-                    c->fault_options.spec = f.GetString("fault_spec", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "faults"});
-  defs.push_back({"planner", FlagType::kBool, "off",
-                  "enable the online co-access-graph planner",
-                  [](F f, C c) -> Status {
-                    if (f.GetBool("planner")) c->planner_options.enabled = true;
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
-  defs.push_back({"replan", FlagType::kInt, "3",
-                  "planner replan period in intervals",
-                  [](F f, C c) -> Status {
-                    if (f.Has("replan")) {
-                      c->planner_options.replan_period =
-                          static_cast<uint32_t>(f.GetInt("replan"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
-  defs.push_back({"plan_ops", FlagType::kInt, "2048",
-                  "max repartition ops per emitted plan",
-                  [](F f, C c) -> Status {
-                    if (f.Has("plan_ops")) {
-                      c->planner_options.builder.max_ops =
-                          static_cast<uint32_t>(f.GetInt("plan_ops"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
-  defs.push_back({"plan_min_heat", FlagType::kInt, "1",
-                  "min co-access weight to move a key",
-                  [](F f, C c) -> Status {
-                    if (f.Has("plan_min_heat")) {
-                      c->planner_options.builder.min_vertex_weight =
-                          static_cast<uint64_t>(f.GetInt("plan_min_heat"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "planner"});
+  defs.push_back(BindEnum(
+      "isolation", "readcommitted", "readcommitted|serializable", "cluster",
+      [](C c) { return &c->cluster.isolation; },
+      {{"readcommitted", cluster::IsolationLevel::kReadCommitted},
+       {"serializable", cluster::IsolationLevel::kSerializable}}));
+  defs.push_back(BindEnum(
+      "cc", "2pl",
+      "2pl|mvcc: concurrency control (mvcc = snapshot reads off version "
+      "chains, lock-free read path, first-updater-wins write conflicts)",
+      "cluster", [](C c) { return &c->cluster.cc; },
+      {{"2pl", mvcc::ConcurrencyControl::k2PL},
+       {"mvcc", mvcc::ConcurrencyControl::kMvcc}}));
+  defs.push_back(Bind("warmup", "10", "warmup intervals", "deployment",
+                      [](C c) { return &c->warmup_intervals; }));
+  defs.push_back(Bind("intervals", "125", "measured intervals", "deployment",
+                      [](C c) { return &c->measured_intervals; }));
+  defs.push_back(Bind("sp", "1.05",
+                      "feedback setpoint (total/normal cost ratio)",
+                      "deployment",
+                      [](C c) { return &c->deployment.feedback.sp; }));
+  defs.push_back(
+      Bind("seed", "1", "RNG seed", "general", [](C c) { return &c->seed; }));
+  defs.push_back(Bind(
+      "record-trace", "", "save the arrival stream for replay", "workload",
+      [](C c) { return &c->workload_options.record_trace_path; }));
+  defs.push_back(Bind(
+      "replay-trace", "", "drive the run from a recorded trace", "workload",
+      [](C c) { return &c->workload_options.replay_trace_path; }));
+  defs.push_back(Bind("metrics_out", "",
+                      "Prometheus text dump of the run's metrics", "obs",
+                      [](C c) { return &c->obs.metrics_out; }));
+  defs.push_back(Bind("metrics_jsonl", "",
+                      "per-interval JSONL metric snapshots", "obs",
+                      [](C c) { return &c->obs.metrics_jsonl_out; }));
+  defs.push_back(Bind("trace_out", "", "Chrome trace JSON (Perfetto-loadable)",
+                      "obs", [](C c) { return &c->obs.trace_out; }));
+  defs.push_back(Bind("trace_sample", "1", "trace every n-th transaction",
+                      "obs", [](C c) { return &c->obs.trace_sample; }));
+  defs.push_back(Bind("audit_out", "",
+                      "decision audit log JSONL (replans, plan ops, deploys)",
+                      "obs", [](C c) { return &c->obs.audit_out; }));
+  defs.push_back(Bind("timeline_out", "",
+                      "per-partition timeline JSONL (load, queues, flows)",
+                      "obs", [](C c) { return &c->obs.timeline_out; }));
+  defs.push_back(Bind("timeline_interval", "1",
+                      "snapshot the timeline every n-th interval", "obs",
+                      [](C c) { return &c->obs.timeline_interval; }));
+  defs.push_back(Bind("fault_spec", "",
+                      "inject faults, e.g. 'crash:node=2,at=120s,down=15s;"
+                      "drop:p=0.01' (see EXPERIMENTS.md)",
+                      "faults", [](C c) { return &c->fault_options.spec; }));
+  defs.push_back(Bind("planner", "off",
+                      "enable the online co-access-graph planner", "planner",
+                      [](C c) { return &c->planner_options.enabled; }));
+  defs.push_back(Bind("replan", "3", "planner replan period in intervals",
+                      "planner",
+                      [](C c) { return &c->planner_options.replan_period; }));
+  defs.push_back(Bind("plan_ops", "2048",
+                      "max repartition ops per emitted plan", "planner",
+                      [](C c) { return &c->planner_options.builder.max_ops; }));
+  defs.push_back(Bind("plan_min_heat", "1",
+                      "min co-access weight to move a key", "planner",
+                      [](C c) {
+                        return &c->planner_options.builder.min_vertex_weight;
+                      }));
   defs.push_back({"drift_phases", FlagType::kInt, "3",
                   "number of drift phases",
                   nullptr, /*hidden=*/false, "workload"});
@@ -444,16 +372,10 @@ FlagTable ExperimentFlagTable() {
   defs.push_back({"pair_fraction", FlagType::kDouble, "0.35",
                   "cross-template paired-txn fraction",
                   nullptr, /*hidden=*/false, "workload"});
-  defs.push_back({"write_fraction", FlagType::kDouble, "",
-                  "fraction of each template's accesses that write",
-                  [](F f, C c) -> Status {
-                    if (f.Has("write_fraction")) {
-                      c->workload_options.spec.write_fraction =
-                          f.GetDouble("write_fraction");
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "workload"});
+  defs.push_back(Bind(
+      "write_fraction", "",
+      "fraction of each template's accesses that write", "workload",
+      [](C c) { return &c->workload_options.spec.write_fraction; }));
   // After --warmup and --workload: drift rewrites the spec using both.
   defs.push_back({"drift", FlagType::kString, "",
                   "hotspot|skewflip|mixrotation: drifting workload (phases "
@@ -472,18 +394,17 @@ FlagTable ExperimentFlagTable() {
                     const auto phase_len = static_cast<uint32_t>(
                         f.GetInt("drift_phase_len", 8));
                     const double pair = f.GetDouble("pair_fraction", 0.35);
+                    workload::WorkloadSpec& spec = c->workload_options.spec;
                     if (v == "hotspot") {
-                      c->workload_options.spec = workload::WorkloadSpec::HotspotDrift(
-                          c->workload_options.spec, c->warmup_intervals, phases, phase_len,
-                          pair);
+                      spec = workload::WorkloadSpec::HotspotDrift(
+                          spec, c->warmup_intervals, phases, phase_len, pair);
                     } else if (v == "skewflip") {
-                      c->workload_options.spec = workload::WorkloadSpec::SkewFlip(
-                          c->workload_options.spec, c->warmup_intervals, phases, phase_len,
+                      spec = workload::WorkloadSpec::SkewFlip(
+                          spec, c->warmup_intervals, phases, phase_len,
                           /*high_s=*/1.16, /*low_s=*/0.4, pair);
                     } else {
-                      c->workload_options.spec = workload::WorkloadSpec::MixRotation(
-                          c->workload_options.spec, c->warmup_intervals, phases, phase_len,
-                          pair);
+                      spec = workload::WorkloadSpec::MixRotation(
+                          spec, c->warmup_intervals, phases, phase_len, pair);
                     }
                     return Status::OK();
                   },
@@ -528,42 +449,26 @@ FlagTable ExperimentFlagTable() {
                     return Status::OK();
                   },
                   /*hidden=*/false, "replica"});
-  defs.push_back({"replica_copies", FlagType::kInt, "2",
-                  "total copies per key, primary included",
-                  [](F f, C c) -> Status {
-                    if (f.Has("replica_copies")) {
-                      c->replicas.max_copies =
-                          static_cast<uint32_t>(f.GetInt("replica_copies"));
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "replica"});
-  defs.push_back({"replica_ratio", FlagType::kDouble, "3.0",
-                  "min read/write ratio to replicate instead of migrate",
-                  [](F f, C c) -> Status {
-                    if (f.Has("replica_ratio")) {
-                      c->replicas.min_read_write_ratio =
-                          f.GetDouble("replica_ratio");
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "replica"});
-  defs.push_back({"replica_split", FlagType::kDouble, "0.2",
-                  "min second-partition share of a key's co-access pull "
-                  "to replicate instead of migrate",
-                  [](F f, C c) -> Status {
-                    if (f.Has("replica_split")) {
-                      c->replicas.split_threshold =
-                          f.GetDouble("replica_split");
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "replica"});
+  defs.push_back(Bind("replica_copies", "2",
+                      "total copies per key, primary included", "replica",
+                      [](C c) {
+                        return &c->planner_options.builder.max_copies;
+                      }));
+  defs.push_back(Bind(
+      "replica_ratio", "3.0",
+      "min read/write ratio to replicate instead of migrate", "replica",
+      [](C c) { return &c->planner_options.builder.min_read_write_ratio; }));
+  defs.push_back(Bind(
+      "replica_split", "0.2",
+      "min second-partition share of a key's co-access pull to replicate "
+      "instead of migrate",
+      "replica",
+      [](C c) { return &c->planner_options.builder.replica_split_threshold; }));
   defs.push_back({"promotion_delay_ms", FlagType::kInt, "500",
                   "failure-detection delay before replica promotion",
                   [](F f, C c) -> Status {
                     if (f.Has("promotion_delay_ms")) {
-                      c->replicas.promotion_delay =
+                      c->replicas.manager.promotion_delay =
                           Millis(f.GetInt("promotion_delay_ms"));
                     }
                     return Status::OK();
@@ -573,7 +478,7 @@ FlagTable ExperimentFlagTable() {
                   "keep replicas whose key went cold or write-heavy",
                   [](F f, C c) -> Status {
                     if (f.GetBool("replica_keep_stale")) {
-                      c->replicas.drop_stale_replicas = false;
+                      c->planner_options.builder.drop_stale_replicas = false;
                     }
                     return Status::OK();
                   },
@@ -584,7 +489,7 @@ FlagTable ExperimentFlagTable() {
                   "(implies --replicas and --planner)",
                   [](F f, C c) -> Status {
                     if (f.GetBool("lion")) {
-                      c->lion.enabled = true;
+                      c->planner_options.builder.lion.enabled = true;
                       c->replicas.enabled = true;
                       c->planner_options.enabled = true;
                     }
@@ -594,62 +499,49 @@ FlagTable ExperimentFlagTable() {
   defs.push_back({"replica_budget", FlagType::kInt, "1024",
                   "per-partition cap on lion-created replica copies",
                   [](F f, C c) -> Status {
-                    if (f.Has("replica_budget")) {
-                      c->lion.replica_budget = f.GetInt("replica_budget");
+                    if (!f.Has("replica_budget")) return Status::OK();
+                    const int64_t budget = f.GetInt("replica_budget");
+                    if (budget < 0) {
+                      return Status::InvalidArgument(
+                          "--replica_budget must be >= 0");
                     }
+                    c->planner_options.builder.lion.replica_budget =
+                        static_cast<uint32_t>(budget);
                     return Status::OK();
                   },
                   /*hidden=*/false, "lion"});
-  defs.push_back({"shift_threshold", FlagType::kDouble, "0.6",
-                  "share of a key's windowed write mass a replica holder "
-                  "must issue before leadership shifts onto it",
-                  [](F f, C c) -> Status {
-                    if (f.Has("shift_threshold")) {
-                      c->lion.shift_threshold =
-                          f.GetDouble("shift_threshold");
-                    }
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "lion"});
-  defs.push_back({"evict", FlagType::kString, "lru",
-                  "lru|heat: lion replica eviction when the budget is full",
-                  [](F f, C c) -> Status {
-                    const std::string v = f.GetString("evict", "lru");
-                    if (Status s =
-                            CheckEnumValue("evict", v, {"lru", "heat"});
-                        !s.ok()) {
-                      return s;
-                    }
-                    c->lion.evict = v;
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "lion"});
-  defs.push_back({"check", FlagType::kBool, "off",
-                  "record the run's history and verify consistency "
-                  "(serializability audit + online invariants)",
-                  [](F f, C c) -> Status {
-                    if (f.GetBool("check")) c->check.enabled = true;
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "check"});
-  defs.push_back({"history_out", FlagType::kString, "",
-                  "JSONL dump of the recorded history (implies --check)",
-                  [](F f, C c) -> Status {
-                    c->check.history_out = f.GetString("history_out", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/false, "check"});
+  defs.push_back(Bind(
+      "shift_threshold", "0.6",
+      "share of a key's windowed write mass a replica holder must issue "
+      "before leadership shifts onto it",
+      "lion",
+      [](C c) { return &c->planner_options.builder.lion.shift_threshold; }));
+  defs.push_back(BindEnum(
+      "evict", "lru", "lru|heat: lion replica eviction when the budget is full",
+      "lion", [](C c) { return &c->planner_options.builder.lion.evict; },
+      {{"lru", lion::EvictPolicy::kLru}, {"heat", lion::EvictPolicy::kHeat}}));
+  defs.push_back(Bind("check", "off",
+                      "record the run's history and verify consistency "
+                      "(serializability audit + online invariants)",
+                      "check", [](C c) { return &c->check.enabled; }));
+  defs.push_back(Bind("history_out", "",
+                      "JSONL dump of the recorded history (implies --check)",
+                      "check", [](C c) { return &c->check.history_out; }));
   // Hidden checker self-test hook: injects exactly one deliberate bug of
   // the named class so tests can prove the checker catches it.
-  defs.push_back({"check_break", FlagType::kString, "",
-                  "replica_apply|double_deploy|lost_write|stale_snapshot|"
-                  "double_primary: corrupt one apply/observation on purpose "
-                  "(implies --check; testing only)",
-                  [](F f, C c) -> Status {
-                    c->check.break_mode = f.GetString("check_break", "");
-                    return Status::OK();
-                  },
-                  /*hidden=*/true, "check"});
+  defs.push_back(BindEnum(
+      "check_break", "",
+      "replica_apply|double_deploy|lost_write|stale_snapshot|double_primary: "
+      "corrupt one apply/observation on purpose (implies --check; testing "
+      "only)",
+      "check", [](C c) { return &c->check.break_mode; },
+      {{"none", check::BreakMode::kNone},
+       {"replica_apply", check::BreakMode::kReplicaApply},
+       {"double_deploy", check::BreakMode::kDoubleDeploy},
+       {"lost_write", check::BreakMode::kLostWrite},
+       {"stale_snapshot", check::BreakMode::kStaleSnapshot},
+       {"double_primary", check::BreakMode::kDoublePrimary}},
+      /*hidden=*/true));
   defs.push_back({"log_level", FlagType::kString, "warn",
                   "debug|info|warn|error",
                   [](F f, C c) -> Status {

@@ -74,7 +74,10 @@ Status CheckEnumValue(const std::string& flag, const std::string& value,
 
 /// The shared experiment flag table: everything that configures an
 /// ExperimentConfig (workload, strategy, planner, replication, faults,
-/// observability). Frontends copy it and Add() their presentation flags.
+/// observability). A row assigns its field only when its flag is given,
+/// so ExperimentConfig's initializers are the only defaults; enum and
+/// other string values are parsed here, once. Frontends copy it and
+/// Add() their presentation flags.
 FlagTable ExperimentFlagTable();
 
 }  // namespace soap::engine

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -29,32 +28,15 @@ enum class EvictPolicy : uint8_t {
   kHeat,  ///< evict the replica with the lowest window heat
 };
 
-inline const char* EvictPolicyName(EvictPolicy policy) {
-  switch (policy) {
-    case EvictPolicy::kLru:
-      return "lru";
-    case EvictPolicy::kHeat:
-      return "heat";
-  }
-  return "unknown";
-}
-
-inline bool ParseEvictPolicy(const std::string& text, EvictPolicy* out) {
-  if (text == "lru") {
-    *out = EvictPolicy::kLru;
-    return true;
-  }
-  if (text == "heat") {
-    *out = EvictPolicy::kHeat;
-    return true;
-  }
-  return false;
-}
-
+/// The one home of the lion settings (an experiment's
+/// planner_options.builder.lion). Off by default; off means the
+/// provisioner is never constructed.
 struct LionConfig {
   bool enabled = false;
-  /// Max replicas (non-primary copies) a partition may host.
+  /// Max replicas (non-primary copies) a partition may host; 0 admits no
+  /// creations (shifting and dropping still run).
   uint32_t replica_budget = 1024;
+  /// Which copy a full budget evicts.
   EvictPolicy evict = EvictPolicy::kLru;
   /// Share of a key's windowed write mass a replica-holding partition
   /// must issue before the planner shifts the key's primary there.

@@ -9,7 +9,6 @@
 #define SOAP_MVCC_CC_MODE_H_
 
 #include <cstdint>
-#include <string>
 
 namespace soap::mvcc {
 
@@ -22,27 +21,6 @@ enum class ConcurrencyControl : uint8_t {
   /// first-updater-wins write-write conflict detection.
   kMvcc,
 };
-
-inline const char* CcName(ConcurrencyControl cc) {
-  switch (cc) {
-    case ConcurrencyControl::k2PL: return "2pl";
-    case ConcurrencyControl::kMvcc: return "mvcc";
-  }
-  return "2pl";
-}
-
-/// Parses a --cc value; empty means the default (2pl). Returns false on an
-/// unknown engine name.
-inline bool ParseCc(const std::string& text, ConcurrencyControl* cc) {
-  if (text.empty() || text == "2pl") {
-    *cc = ConcurrencyControl::k2PL;
-  } else if (text == "mvcc") {
-    *cc = ConcurrencyControl::kMvcc;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace soap::mvcc
 

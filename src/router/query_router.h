@@ -40,7 +40,6 @@ class QueryRouter {
       : table_(table), policy_(policy) {}
 
   const RoutingTable& routing_table() const { return *table_; }
-  RoutingTable* mutable_routing_table() { return table_; }
 
   void set_policy(ReplicaPolicy policy) { policy_ = policy; }
   ReplicaPolicy policy() const { return policy_; }

@@ -9,7 +9,11 @@
 //     engine::ExperimentConfig   grouped configuration (WorkloadOptions,
 //                                DeploymentOptions, FaultOptions,
 //                                PlannerOptions, ReplicaOptions,
-//                                ObsOptions) with Validate()
+//                                ScaleOptions, CheckOptions, ObsOptions)
+//                                with Validate(); each setting has one
+//                                field: replica thresholds and lion
+//                                (lion::LionConfig) live in
+//                                PlannerOptions::builder
 //     engine::Experiment         builds the whole stack, Run() to completion
 //     engine::ExperimentResult   the per-interval series + counters +
 //                                Summary()
@@ -19,7 +23,7 @@
 //   Build a CLI frontend
 //     Flags                      --key=value parsing (src/common/flags.h)
 //     engine::FlagTable          declarative flag table shared by soap_run
-//                                and the benches: generated --help,
+//                                and perfbench: generated --help,
 //                                near-miss unknown-flag errors,
 //                                ExperimentFlagTable() bindings
 //

@@ -64,7 +64,6 @@ class StorageEngine {
 
   const Table& table() const { return table_; }
   const Wal& wal() const { return wal_; }
-  Wal& mutable_wal() { return wal_; }
 
   /// Rebuilds the table from the WAL (crash-recovery path; tests use it to
   /// prove replay equivalence).

@@ -65,7 +65,6 @@ class TemplateCatalog {
   void ForEachInitialOverride(Fn&& fn) const {
     for (const auto& [key, partition] : initial_override_) fn(key, partition);
   }
-  size_t initial_override_count() const { return initial_override_.size(); }
 
   /// Number of templates that start distributed.
   uint32_t distributed_count() const { return distributed_count_; }

@@ -53,7 +53,7 @@ ExperimentConfig HubConfig() {
   config.seed = 11;
   config.planner_options.enabled = true;
   config.replicas.enabled = true;
-  config.replicas.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
   return config;
 }
 
@@ -97,7 +97,7 @@ TEST(CheckE2eTest, HubRunExercisesReadDependenciesAndReplicas) {
 
 TEST(CheckE2eTest, BreakLostWriteIsDetected) {
   ExperimentConfig config = TinyConfig();
-  config.check.break_mode = "lost_write";
+  config.check.break_mode = check::BreakMode::kLostWrite;
   ExperimentResult r = Experiment(config).Run();
   EXPECT_EQ(r.check_breaks_fired, 1u);
   ASSERT_FALSE(r.check_report.ok());
@@ -108,7 +108,7 @@ TEST(CheckE2eTest, BreakLostWriteIsDetected) {
 
 TEST(CheckE2eTest, BreakDoubleDeployIsDetected) {
   ExperimentConfig config = TinyConfig();
-  config.check.break_mode = "double_deploy";
+  config.check.break_mode = check::BreakMode::kDoubleDeploy;
   ExperimentResult r = Experiment(config).Run();
   EXPECT_EQ(r.check_breaks_fired, 1u);
   ASSERT_FALSE(r.check_report.ok());
@@ -119,7 +119,7 @@ TEST(CheckE2eTest, BreakReplicaApplyIsDetected) {
   // Needs a run that actually creates replicas for the corruption site to
   // exist at all.
   ExperimentConfig config = HubConfig();
-  config.check.break_mode = "replica_apply";
+  config.check.break_mode = check::BreakMode::kReplicaApply;
   ExperimentResult r = Experiment(config).Run();
   EXPECT_GT(r.planner_stats.replica_creates_emitted, 0u);
   EXPECT_EQ(r.check_breaks_fired, 1u);

@@ -1,7 +1,6 @@
 // ExperimentConfig: the grouped sub-struct API and Validate()'s rejection
-// of inconsistent combinations (table-driven), including the LionOptions
-// constraints. (The deprecated flat-name alias shim was removed after one
-// release; every call site addresses the sub-structs directly.)
+// of inconsistent combinations (table-driven), including the replica and
+// lion constraints on their one home, planner_options.builder.
 
 #include <gtest/gtest.h>
 
@@ -105,68 +104,66 @@ INSTANTIATE_TEST_SUITE_P(
         RejectCase{"replica_single_copy",
                    [](ExperimentConfig* c) {
                      c->replicas.enabled = true;
-                     c->replicas.max_copies = 1;
+                     c->planner_options.builder.max_copies = 1;
                    },
                    "max_copies"},
         RejectCase{"replica_copies_exceed_cluster",
                    [](ExperimentConfig* c) {
                      c->replicas.enabled = true;
-                     c->replicas.max_copies = c->cluster.num_nodes + 1;
+                     c->planner_options.builder.max_copies =
+                         c->cluster.num_nodes + 1;
                    },
                    "cluster"},
         RejectCase{"replica_nonpositive_ratio",
                    [](ExperimentConfig* c) {
                      c->replicas.enabled = true;
-                     c->replicas.min_read_write_ratio = 0.0;
+                     c->planner_options.builder.min_read_write_ratio = 0.0;
                    },
                    "min_read_write_ratio"},
         RejectCase{"replica_split_threshold_out_of_range",
                    [](ExperimentConfig* c) {
                      c->replicas.enabled = true;
-                     c->replicas.split_threshold = 1.0;
+                     c->planner_options.builder.replica_split_threshold = 1.0;
                    },
                    "split_threshold"},
         RejectCase{"replica_negative_promotion_delay",
                    [](ExperimentConfig* c) {
                      c->replicas.enabled = true;
-                     c->replicas.promotion_delay = -1;
+                     c->replicas.manager.promotion_delay = -1;
                    },
                    "promotion_delay"},
-        RejectCase{"replicate_read_heavy_without_replicas",
-                   [](ExperimentConfig* c) {
-                     c->planner_options.builder.replicate_read_heavy = true;
-                   },
-                   "replicas.enabled"},
-        RejectCase{"lion_negative_budget",
-                   [](ExperimentConfig* c) {
-                     c->lion.replica_budget = -1;
-                   },
-                   "replica_budget"},
-        RejectCase{"lion_unknown_evict_policy",
-                   [](ExperimentConfig* c) { c->lion.evict = "fifo"; },
-                   "evict"},
         RejectCase{"lion_shift_threshold_zero",
                    [](ExperimentConfig* c) {
-                     c->lion.shift_threshold = 0.0;
+                     c->planner_options.builder.lion.shift_threshold = 0.0;
                    },
                    "shift_threshold"},
         RejectCase{"lion_shift_threshold_above_one",
                    [](ExperimentConfig* c) {
-                     c->lion.shift_threshold = 1.5;
+                     c->planner_options.builder.lion.shift_threshold = 1.5;
+                   },
+                   "shift_threshold"},
+        RejectCase{"lion_on_shift_threshold_seven",
+                   [](ExperimentConfig* c) {
+                     c->replicas.enabled = true;
+                     c->planner_options.enabled = true;
+                     c->planner_options.builder.lion.enabled = true;
+                     c->planner_options.builder.lion.shift_threshold = 7.0;
                    },
                    "shift_threshold"},
         RejectCase{"lion_without_replicas",
-                   [](ExperimentConfig* c) { c->lion.enabled = true; },
+                   [](ExperimentConfig* c) {
+                     c->planner_options.builder.lion.enabled = true;
+                   },
                    "replicas.enabled"},
         RejectCase{"lion_without_planner",
                    [](ExperimentConfig* c) {
-                     c->lion.enabled = true;
+                     c->planner_options.builder.lion.enabled = true;
                      c->replicas.enabled = true;
                    },
                    "planner.enabled"},
         RejectCase{"double_primary_break_without_lion",
                    [](ExperimentConfig* c) {
-                     c->check.break_mode = "double_primary";
+                     c->check.break_mode = check::BreakMode::kDoublePrimary;
                    },
                    "--lion"}),
     [](const ::testing::TestParamInfo<RejectCase>& info) {
@@ -176,11 +173,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExperimentConfigTest, ValueSemanticsCopyAndAssign) {
   ExperimentConfig a;
   a.workload_options.utilization = 0.9;
-  a.lion.enabled = true;
-  a.lion.replica_budget = 17;
+  a.planner_options.builder.lion.enabled = true;
+  a.planner_options.builder.lion.replica_budget = 17;
   ExperimentConfig b = a;
   EXPECT_DOUBLE_EQ(b.workload_options.utilization, 0.9);
-  EXPECT_EQ(b.lion.replica_budget, 17);
+  EXPECT_EQ(b.planner_options.builder.lion.replica_budget, 17u);
   b.workload_options.utilization = 0.4;
   EXPECT_DOUBLE_EQ(a.workload_options.utilization, 0.9);
 }

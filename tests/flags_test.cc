@@ -1,5 +1,11 @@
 #include "src/common/flags.h"
 
+#include <functional>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <type_traits>
+
 #include "src/common/series.h"
 #include "src/engine/flag_table.h"
 
@@ -141,13 +147,14 @@ TEST(FlagTableTest, LionFlagsApply) {
                                     "--shift_threshold=0.4", "--evict=heat"}),
                          &config)
                   .ok());
-  EXPECT_TRUE(config.lion.enabled);
+  const lion::LionConfig& lion = config.planner_options.builder.lion;
+  EXPECT_TRUE(lion.enabled);
   // --lion implies the subsystems it builds on.
   EXPECT_TRUE(config.replicas.enabled);
   EXPECT_TRUE(config.planner_options.enabled);
-  EXPECT_EQ(config.lion.replica_budget, 7);
-  EXPECT_DOUBLE_EQ(config.lion.shift_threshold, 0.4);
-  EXPECT_EQ(config.lion.evict, "heat");
+  EXPECT_EQ(lion.replica_budget, 7u);
+  EXPECT_DOUBLE_EQ(lion.shift_threshold, 0.4);
+  EXPECT_EQ(lion.evict, lion::EvictPolicy::kHeat);
   EXPECT_TRUE(config.Validate().ok());
 }
 
@@ -181,6 +188,252 @@ TEST(FlagTableTest, EvictTypoGetsNearMissSuggestion) {
   EXPECT_NE(s.ToString().find("did you mean heat?"), std::string::npos)
       << s.ToString();
 }
+
+// One row per config-bound flag: the flag with a non-default value, and
+// the field it must land in, printed.
+struct BoundFlagCase {
+  const char* name;
+  const char* arg;
+  std::function<std::string(const engine::ExperimentConfig&)> field;
+  const char* expected;
+};
+
+void PrintTo(const BoundFlagCase& c, std::ostream* os) { *os << c.name; }
+
+template <typename T>
+std::string Str(const T& v) {
+  std::ostringstream os;
+  if constexpr (std::is_enum_v<T>) {
+    os << static_cast<int>(v);
+  } else {
+    os << std::boolalpha << v;
+  }
+  return os.str();
+}
+
+using Cfg = const engine::ExperimentConfig&;
+
+class BoundFlagTest : public ::testing::TestWithParam<BoundFlagCase> {};
+
+// Without the flag the row writes nothing: a default config stays
+// ExperimentConfig{} (the struct initializer is the only home of each
+// default), and a value set earlier survives.
+TEST_P(BoundFlagTest, AbsentFlagLeavesTheFieldAlone) {
+  engine::FlagTable table = engine::ExperimentFlagTable();
+  engine::ExperimentConfig config;
+  ASSERT_TRUE(table.Apply(MustParse({}), &config).ok());
+  EXPECT_EQ(GetParam().field(config),
+            GetParam().field(engine::ExperimentConfig{}));
+  EXPECT_NE(GetParam().field(config), GetParam().expected)
+      << "pick a non-default value for the case";
+  ASSERT_TRUE(table.Apply(MustParse({GetParam().arg}), &config).ok());
+  ASSERT_TRUE(table.Apply(MustParse({}), &config).ok());
+  EXPECT_EQ(GetParam().field(config), GetParam().expected);
+}
+
+TEST_P(BoundFlagTest, GivenFlagLandsInItsField) {
+  engine::FlagTable table = engine::ExperimentFlagTable();
+  engine::ExperimentConfig config;
+  Status s = table.Apply(MustParse({GetParam().arg}), &config);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(GetParam().field(config), GetParam().expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, BoundFlagTest,
+    ::testing::Values(
+        BoundFlagCase{"strategy", "--strategy=feedback",
+                      [](Cfg c) { return Str(c.deployment.strategy); },
+                      "2"},
+        BoundFlagCase{"templates", "--templates=77",
+                      [](Cfg c) {
+                        return Str(c.workload_options.spec.num_templates);
+                      },
+                      "77"},
+        BoundFlagCase{"keys", "--keys=1234",
+                      [](Cfg c) {
+                        return Str(c.workload_options.spec.num_keys);
+                      },
+                      "1234"},
+        BoundFlagCase{"sketch_threshold", "--sketch_threshold=9",
+                      [](Cfg c) { return Str(c.scale.sketch_threshold); },
+                      "9"},
+        BoundFlagCase{"sketch_topk", "--sketch_topk=5",
+                      [](Cfg c) { return Str(c.scale.sketch_topk); }, "5"},
+        BoundFlagCase{"load", "--load=low",
+                      [](Cfg c) {
+                        return Str(c.workload_options.utilization);
+                      },
+                      "0.65"},
+        BoundFlagCase{"isolation", "--isolation=serializable",
+                      [](Cfg c) { return Str(c.cluster.isolation); }, "1"},
+        BoundFlagCase{"cc", "--cc=mvcc",
+                      [](Cfg c) { return Str(c.cluster.cc); }, "1"},
+        BoundFlagCase{"warmup", "--warmup=3",
+                      [](Cfg c) { return Str(c.warmup_intervals); }, "3"},
+        BoundFlagCase{"intervals", "--intervals=4",
+                      [](Cfg c) { return Str(c.measured_intervals); }, "4"},
+        BoundFlagCase{"sp", "--sp=1.5",
+                      [](Cfg c) { return Str(c.deployment.feedback.sp); },
+                      "1.5"},
+        BoundFlagCase{"seed", "--seed=42",
+                      [](Cfg c) { return Str(c.seed); }, "42"},
+        BoundFlagCase{"record_trace", "--record-trace=r.trace",
+                      [](Cfg c) {
+                        return c.workload_options.record_trace_path;
+                      },
+                      "r.trace"},
+        BoundFlagCase{"replay_trace", "--replay-trace=p.trace",
+                      [](Cfg c) {
+                        return c.workload_options.replay_trace_path;
+                      },
+                      "p.trace"},
+        BoundFlagCase{"metrics_out", "--metrics_out=m.prom",
+                      [](Cfg c) { return c.obs.metrics_out; }, "m.prom"},
+        BoundFlagCase{"metrics_jsonl", "--metrics_jsonl=m.jsonl",
+                      [](Cfg c) { return c.obs.metrics_jsonl_out; },
+                      "m.jsonl"},
+        BoundFlagCase{"trace_out", "--trace_out=t.json",
+                      [](Cfg c) { return c.obs.trace_out; }, "t.json"},
+        BoundFlagCase{"trace_sample", "--trace_sample=8",
+                      [](Cfg c) { return Str(c.obs.trace_sample); }, "8"},
+        BoundFlagCase{"audit_out", "--audit_out=a.jsonl",
+                      [](Cfg c) { return c.obs.audit_out; }, "a.jsonl"},
+        BoundFlagCase{"timeline_out", "--timeline_out=tl.jsonl",
+                      [](Cfg c) { return c.obs.timeline_out; }, "tl.jsonl"},
+        BoundFlagCase{"timeline_interval", "--timeline_interval=6",
+                      [](Cfg c) { return Str(c.obs.timeline_interval); },
+                      "6"},
+        BoundFlagCase{"fault_spec", "--fault_spec=drop:p=0.1",
+                      [](Cfg c) { return c.fault_options.spec; },
+                      "drop:p=0.1"},
+        BoundFlagCase{"planner", "--planner",
+                      [](Cfg c) { return Str(c.planner_options.enabled); },
+                      "true"},
+        BoundFlagCase{"replan", "--replan=7",
+                      [](Cfg c) {
+                        return Str(c.planner_options.replan_period);
+                      },
+                      "7"},
+        BoundFlagCase{"plan_ops", "--plan_ops=64",
+                      [](Cfg c) {
+                        return Str(c.planner_options.builder.max_ops);
+                      },
+                      "64"},
+        BoundFlagCase{"plan_min_heat", "--plan_min_heat=3",
+                      [](Cfg c) {
+                        return Str(
+                            c.planner_options.builder.min_vertex_weight);
+                      },
+                      "3"},
+        BoundFlagCase{"write_fraction", "--write_fraction=0.25",
+                      [](Cfg c) {
+                        return Str(c.workload_options.spec.write_fraction);
+                      },
+                      "0.25"},
+        BoundFlagCase{"replicas", "--replicas",
+                      [](Cfg c) { return Str(c.replicas.enabled); },
+                      "true"},
+        BoundFlagCase{"replica_copies", "--replica_copies=4",
+                      [](Cfg c) {
+                        return Str(c.planner_options.builder.max_copies);
+                      },
+                      "4"},
+        BoundFlagCase{"replica_ratio", "--replica_ratio=5.5",
+                      [](Cfg c) {
+                        return Str(
+                            c.planner_options.builder.min_read_write_ratio);
+                      },
+                      "5.5"},
+        BoundFlagCase{"replica_split", "--replica_split=0.45",
+                      [](Cfg c) {
+                        return Str(c.planner_options.builder
+                                       .replica_split_threshold);
+                      },
+                      "0.45"},
+        BoundFlagCase{"promotion_delay_ms", "--promotion_delay_ms=250",
+                      [](Cfg c) {
+                        return Str(c.replicas.manager.promotion_delay);
+                      },
+                      "250000"},
+        BoundFlagCase{"replica_keep_stale", "--replica_keep_stale",
+                      [](Cfg c) {
+                        return Str(
+                            c.planner_options.builder.drop_stale_replicas);
+                      },
+                      "false"},
+        BoundFlagCase{"lion", "--lion",
+                      [](Cfg c) {
+                        return Str(c.planner_options.builder.lion.enabled);
+                      },
+                      "true"},
+        BoundFlagCase{"replica_budget", "--replica_budget=0",
+                      [](Cfg c) {
+                        return Str(
+                            c.planner_options.builder.lion.replica_budget);
+                      },
+                      "0"},
+        BoundFlagCase{"shift_threshold", "--shift_threshold=0.9",
+                      [](Cfg c) {
+                        return Str(
+                            c.planner_options.builder.lion.shift_threshold);
+                      },
+                      "0.9"},
+        BoundFlagCase{"evict", "--evict=heat",
+                      [](Cfg c) {
+                        return Str(c.planner_options.builder.lion.evict);
+                      },
+                      "1"},
+        BoundFlagCase{"check", "--check",
+                      [](Cfg c) { return Str(c.check.enabled); }, "true"},
+        BoundFlagCase{"history_out", "--history_out=h.jsonl",
+                      [](Cfg c) { return c.check.history_out; }, "h.jsonl"},
+        BoundFlagCase{"check_break", "--check_break=lost_write",
+                      [](Cfg c) { return Str(c.check.break_mode); }, "3"}),
+    [](const ::testing::TestParamInfo<BoundFlagCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Input the program cannot represent is rejected at the flag edge, with
+// the message naming the flag (and a near miss where one exists).
+struct EdgeRejectCase {
+  const char* name;
+  const char* arg;
+  const char* message;
+};
+
+void PrintTo(const EdgeRejectCase& c, std::ostream* os) { *os << c.name; }
+
+class EdgeRejectTest : public ::testing::TestWithParam<EdgeRejectCase> {};
+
+TEST_P(EdgeRejectTest, RejectedWithItsMessage) {
+  engine::FlagTable table = engine::ExperimentFlagTable();
+  engine::ExperimentConfig config;
+  Status s = table.Apply(MustParse({"--lion", GetParam().arg}), &config);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find(GetParam().message), std::string::npos)
+      << s.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, EdgeRejectTest,
+    ::testing::Values(
+        EdgeRejectCase{"negative_replica_budget", "--replica_budget=-1",
+                       "--replica_budget must be >= 0"},
+        EdgeRejectCase{"evict_near_miss", "--evict=lur",
+                       "unknown --evict value 'lur' (did you mean lru?)"},
+        EdgeRejectCase{"evict_unknown", "--evict=fifo",
+                       "unknown --evict value 'fifo' (one of lru|heat)"},
+        EdgeRejectCase{"check_break_near_miss", "--check_break=lost_wirte",
+                       "unknown --check_break value 'lost_wirte' (did you "
+                       "mean lost_write?)"},
+        EdgeRejectCase{"check_break_unknown", "--check_break=everything",
+                       "unknown --check_break value 'everything' (one of "
+                       "none|replica_apply|double_deploy|lost_write|"
+                       "stale_snapshot|double_primary)"}),
+    [](const ::testing::TestParamInfo<EdgeRejectCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(SeriesChartTest, ChartContainsLegendAndMarks) {
   SeriesBundle b("demo");

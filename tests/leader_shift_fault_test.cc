@@ -177,8 +177,8 @@ engine::ExperimentConfig LionHubConfig() {
   config.seed = 11;
   config.planner_options.enabled = true;
   config.replicas.enabled = true;
-  config.replicas.max_copies = config.cluster.num_nodes;
-  config.lion.enabled = true;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.lion.enabled = true;
   return config;
 }
 
@@ -199,6 +199,28 @@ TEST(LeaderShiftFaultTest, CleanLionRunPassesTheChecker) {
   EXPECT_TRUE(r.check_report.ok()) << r.check_report.ToString();
   EXPECT_GT(r.invariant_checks, 0u);
   EXPECT_EQ(r.check_breaks_fired, 0u);
+}
+
+TEST(LeaderShiftFaultTest, CheckedLionRunChecksEveryAppliedShift) {
+  // Lion is switched on in its one home, planner_options.builder.lion,
+  // and a --check run installs the per-shift invariant hook: each applied
+  // shift adds one invariant check on top of the quiescent sweep's.
+  engine::ExperimentConfig config = LionHubConfig();
+  config.check.enabled = true;
+  engine::ExperimentResult lion = engine::Experiment(config).Run();
+  ASSERT_TRUE(lion.drained);
+  ASSERT_GT(lion.counters.leader_shifts_applied, 0u);
+  EXPECT_TRUE(lion.lion_enabled);
+  EXPECT_NE(lion.Summary().find(", lion["), std::string::npos);
+
+  // The same checked run without lion: no shifts, no faults, so its
+  // count is the sweep's alone.
+  config.planner_options.builder.lion.enabled = false;
+  engine::ExperimentResult plain = engine::Experiment(config).Run();
+  ASSERT_TRUE(plain.drained);
+  ASSERT_EQ(plain.counters.leader_shifts_applied, 0u);
+  EXPECT_EQ(lion.invariant_checks,
+            plain.invariant_checks + lion.counters.leader_shifts_applied);
 }
 
 TEST(LeaderShiftFaultTest, PrimaryCrashDuringShiftsRecoversCleanly) {
@@ -235,7 +257,7 @@ TEST(LeaderShiftFaultTest, BreakDoublePrimaryIsDetected) {
   // primary while staying in the replica list. The OnLeaderShift
   // invariant must catch the doubled partition.
   engine::ExperimentConfig config = LionHubConfig();
-  config.check.break_mode = "double_primary";
+  config.check.break_mode = check::BreakMode::kDoublePrimary;
   engine::ExperimentResult r = engine::Experiment(config).Run();
   EXPECT_GT(r.planner_stats.leader_shifts_emitted, 0u);
   EXPECT_EQ(r.check_breaks_fired, 1u);

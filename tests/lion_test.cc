@@ -160,9 +160,9 @@ engine::ExperimentConfig LionConfig_(uint32_t budget) {
   config.seed = 11;
   config.planner_options.enabled = true;
   config.replicas.enabled = true;
-  config.replicas.max_copies = config.cluster.num_nodes;
-  config.lion.enabled = true;
-  config.lion.replica_budget = budget;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.lion.enabled = true;
+  config.planner_options.builder.lion.replica_budget = budget;
   return config;
 }
 
@@ -210,7 +210,7 @@ TEST(LionEngineTest, LionOffLeavesTheStaticReplicaPathUntouched) {
   // parallel_runner_test and the determinism tests; here we pin the
   // switch itself.
   engine::ExperimentConfig config = LionConfig_(/*budget=*/64);
-  config.lion.enabled = false;
+  config.planner_options.builder.lion.enabled = false;
   engine::ExperimentResult r = engine::Experiment(config).Run();
   EXPECT_FALSE(r.lion_enabled);
   EXPECT_EQ(r.planner_stats.leader_shifts_emitted, 0u);

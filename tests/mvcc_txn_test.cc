@@ -335,7 +335,7 @@ TEST(MvccEngineTest, StaleSnapshotBreakNeedsMvcc) {
   engine::ExperimentConfig config = SmallConfig(14);
   config.cluster.cc = mvcc::ConcurrencyControl::k2PL;
   config.check.enabled = true;
-  config.check.break_mode = "stale_snapshot";
+  config.check.break_mode = check::BreakMode::kStaleSnapshot;
   EXPECT_FALSE(config.Validate().ok());
   config.cluster.cc = mvcc::ConcurrencyControl::kMvcc;
   EXPECT_TRUE(config.Validate().ok());

@@ -34,7 +34,7 @@ ExperimentConfig HubConfig() {
   config.seed = 7;
   config.planner_options.enabled = true;
   config.replicas.enabled = true;
-  config.replicas.max_copies = config.cluster.num_nodes;
+  config.planner_options.builder.max_copies = config.cluster.num_nodes;
   return config;
 }
 
