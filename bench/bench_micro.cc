@@ -14,7 +14,8 @@
 //                                     gate key the baseline lacks
 //
 // The JSON suite times the simulator event loop (drain + steady-state),
-// cancel throughput, routing lookups in three table shapes, and a
+// cancel throughput, routing lookups in three table shapes, sketch-mode
+// co-access graph Observe (the planner's per-transaction path), and a
 // fast-scale figure panel serially and on min(4, host cores)
 // ParallelRunner threads.
 
@@ -35,6 +36,7 @@
 #include "src/cluster/processing_queue.h"
 #include "src/common/random.h"
 #include "src/engine/parallel_runner.h"
+#include "src/planner/co_access_graph.h"
 #include "src/router/query_parser.h"
 #include "src/router/query_router.h"
 #include "src/sim/simulator.h"
@@ -306,6 +308,40 @@ double MeasureRoutingLookupNs(RoutingShape shape, int reps) {
   return MedianOf(std::move(samples));
 }
 
+/// Sketch-mode CoAccessGraph::Observe throughput (txns/s), median over
+/// `reps`: a 4M-key uniform stream of 5-key read transactions, the
+/// bench_scale 4M cell's keyspace and sketch defaults, with a Decay every
+/// 20k-transaction interval (timed too: it is part of the planner's cost).
+/// Keys are drawn before the clock starts.
+double MeasureCoAccessObservePerSec(int reps) {
+  constexpr uint64_t kKeys = 4'000'000;
+  constexpr size_t kKeysPerTxn = 5;
+  constexpr size_t kInterval = 20'000;
+  constexpr size_t kTxns = 5 * kInterval;
+  soap::planner::CoAccessGraphConfig config;
+  config.num_keys = kKeys;
+  std::vector<double> samples;
+  for (int rep = 0; rep < reps; ++rep) {
+    Rng rng(101 + rep);
+    std::vector<uint64_t> keys(kTxns * kKeysPerTxn);
+    for (uint64_t& key : keys) key = rng.NextUint64(kKeys);
+    soap::txn::Transaction txn;
+    txn.ops.resize(kKeysPerTxn);
+    soap::planner::CoAccessGraph graph(config);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < kTxns; ++i) {
+      for (size_t j = 0; j < kKeysPerTxn; ++j) {
+        txn.ops[j].key = keys[i * kKeysPerTxn + j];
+      }
+      graph.Observe(txn);
+      if ((i + 1) % kInterval == 0) graph.Decay();
+    }
+    samples.push_back(static_cast<double>(kTxns) / SecondsSince(t0));
+    benchmark::DoNotOptimize(graph.edge_count());
+  }
+  return MedianOf(std::move(samples));
+}
+
 /// Fast-scale fig4-style panel (alpha sweep x 5 strategies) wall-clock at
 /// the given thread count. Scale mirrors SOAP_BENCH_FAST without needing
 /// the environment variable.
@@ -347,6 +383,7 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
       MeasureRoutingLookupNs(RoutingShape::kExceptionHit, 5);
   const double route_dense_ns =
       MeasureRoutingLookupNs(RoutingShape::kDensePath, 5);
+  const double coaccess_per_sec = MeasureCoAccessObservePerSec(5);
   const double panel_serial_s = MeasurePanelSeconds(1);
   // Panel speedup scales with min(threads, cores); measuring 4 threads on
   // a 1-core host would just report scheduler overhead. Record the host
@@ -376,6 +413,8 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
        << "  \"routing_dense_path_per_sec\": " << 1e9 / route_dense_ns
        << ",\n"
        << "  \"routing_dense_path_ns\": " << route_dense_ns << ",\n"
+       << "  \"coaccess_observe_sketch_per_sec\": " << coaccess_per_sec
+       << ",\n"
        << "  \"panel_fast_serial_seconds\": " << panel_serial_s << ",\n"
        << "  \"panel_fast_parallel_threads\": " << panel_threads << ",\n"
        << "  \"panel_fast_parallel_seconds\": " << panel_par_s << ",\n"
@@ -415,6 +454,7 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
       {"routing_range_hit_per_sec", 1e9 / route_range_ns},
       {"routing_exception_hit_per_sec", 1e9 / route_exc_ns},
       {"routing_dense_path_per_sec", 1e9 / route_dense_ns},
+      {"coaccess_observe_sketch_per_sec", coaccess_per_sec},
   };
   int exit_code = 0;
   for (const Gate& gate : gates) {

@@ -150,6 +150,17 @@ Status CheckEnumValue(const std::string& flag, const std::string& value,
 
 namespace {
 
+Status NegativeFlag(const std::string& name) {
+  return Status::InvalidArgument("--" + name + " must be >= 0");
+}
+
+// Binding for a count that another row reads (--drift_phases,
+// --drift_phase_len): it assigns nothing, only rejects a negative value.
+Status NonNegative(const Flags& f, const std::string& name) {
+  return f.Has(name) && f.GetInt(name) < 0 ? NegativeFlag(name)
+                                           : Status::OK();
+}
+
 template <typename Field>
 using FieldType =
     std::remove_pointer_t<std::invoke_result_t<Field, ExperimentConfig*>>;
@@ -157,7 +168,8 @@ using FieldType =
 // A row bound to the config field `field` points at. The flag's value is
 // assigned only when the flag is given, so the field's initializer in
 // ExperimentConfig stays the one home of its default; `default_text` is
-// only what --help prints. Integers are cast to the field's type.
+// only what --help prints. Integers are cast to the field's type; a
+// negative value for an unsigned field is rejected, not wrapped.
 template <typename Field>
 FlagDef Bind(const char* name, const char* default_text, const char* help,
              const char* group, Field field) {
@@ -178,7 +190,9 @@ FlagDef Bind(const char* name, const char* default_text, const char* help,
             if constexpr (std::is_same_v<T, bool>) {
               out = f.GetBool(name);
             } else if constexpr (std::is_integral_v<T>) {
-              out = static_cast<T>(f.GetInt(name));
+              const int64_t v = f.GetInt(name);
+              if (std::is_unsigned_v<T> && v < 0) return NegativeFlag(name);
+              out = static_cast<T>(v);
             } else if constexpr (std::is_floating_point_v<T>) {
               out = f.GetDouble(name);
             } else {
@@ -365,10 +379,12 @@ FlagTable ExperimentFlagTable() {
                       }));
   defs.push_back({"drift_phases", FlagType::kInt, "3",
                   "number of drift phases",
-                  nullptr, /*hidden=*/false, "workload"});
+                  [](F f, C) { return NonNegative(f, "drift_phases"); },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"drift_phase_len", FlagType::kInt, "8",
                   "intervals per drift phase",
-                  nullptr, /*hidden=*/false, "workload"});
+                  [](F f, C) { return NonNegative(f, "drift_phase_len"); },
+                  /*hidden=*/false, "workload"});
   defs.push_back({"pair_fraction", FlagType::kDouble, "0.35",
                   "cross-template paired-txn fraction",
                   nullptr, /*hidden=*/false, "workload"});
@@ -501,10 +517,7 @@ FlagTable ExperimentFlagTable() {
                   [](F f, C c) -> Status {
                     if (!f.Has("replica_budget")) return Status::OK();
                     const int64_t budget = f.GetInt("replica_budget");
-                    if (budget < 0) {
-                      return Status::InvalidArgument(
-                          "--replica_budget must be >= 0");
-                    }
+                    if (budget < 0) return NegativeFlag("replica_budget");
                     c->planner_options.builder.lion.replica_budget =
                         static_cast<uint32_t>(budget);
                     return Status::OK();

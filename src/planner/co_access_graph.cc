@@ -10,25 +10,24 @@ namespace {
 // The partition a transaction is "homed" on: the modal source partition
 // across its data ops, ties to the lowest id — the partition the txn
 // would run single-node on if every key it writes lived there. Ops are
-// few (normal SOAP txns touch 5 keys), so a flat scan beats a map.
+// few (normal SOAP txns touch 5 keys), so a quadratic scan beats any map
+// and allocates nothing: each partition is counted at its first op.
 uint32_t TxnHome(const txn::Transaction& t) {
-  // (partition, count) pairs, insertion-ordered; resolved at the end.
-  std::vector<std::pair<uint32_t, uint64_t>> counts;
-  for (const txn::Operation& op : t.ops) {
-    if (op.repartition_op_id != 0) continue;
-    bool found = false;
-    for (auto& [p, c] : counts) {
-      if (p == op.source_partition) {
-        ++c;
-        found = true;
-        break;
-      }
-    }
-    if (!found) counts.emplace_back(op.source_partition, 1);
-  }
+  const std::vector<txn::Operation>& ops = t.ops;
   uint32_t home = 0;
   uint64_t best = 0;
-  for (const auto& [p, c] : counts) {
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].repartition_op_id != 0) continue;
+    const uint32_t p = ops[i].source_partition;
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = ops[j].repartition_op_id == 0 && ops[j].source_partition == p;
+    }
+    if (seen) continue;
+    uint64_t c = 0;
+    for (size_t j = i; j < ops.size(); ++j) {
+      c += ops[j].repartition_op_id == 0 && ops[j].source_partition == p;
+    }
     if (c > best || (c == best && p < home)) {
       home = p;
       best = c;
@@ -55,101 +54,91 @@ CoAccessGraph::CoAccessGraph(CoAccessGraphConfig config)
 void CoAccessGraph::Observe(const txn::Transaction& t) {
   // Distinct data keys only; piggybacked/repartition ops carry
   // repartition_op_id != 0 and are not workload co-access.
-  std::vector<storage::TupleKey> keys;
-  keys.reserve(t.ops.size());
+  keys_.clear();
   for (const txn::Operation& op : t.ops) {
     if (op.repartition_op_id != 0) continue;
-    keys.push_back(op.key);
+    keys_.push_back(op.key);
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  if (keys.empty() || keys.size() > config_.max_keys_per_txn) return;
-
-  if (sketch_mode_) {
-    ObserveSketch(keys, t);
-    return;
-  }
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  if (keys_.empty() || keys_.size() > config_.max_keys_per_txn) return;
 
   ++txns_observed_;
-  for (storage::TupleKey k : keys) vertices_[k].weight += 1;
+  if (sketch_mode_) {
+    // Feed the sketches first so a key that just crossed into the top-k
+    // is treated as hot within the same transaction.
+    for (storage::TupleKey k : keys_) {
+      hot_->Add(k);
+      heat_->Add(k);
+    }
+  }
+  // Vertex per key, resolved once: exact-mode and hot keys keep
+  // themselves, the cold tail folds into its keyspace-range supernode.
+  touched_.clear();
+  for (storage::TupleKey k : keys_) {
+    const storage::TupleKey vid =
+        !sketch_mode_ || IsHot(k) ? k : SupernodeOf(k);
+    Vertex* v = &vertices_[vid];
+    v->weight += 1;
+    touched_.push_back({vid, v});
+  }
   const uint32_t home = TxnHome(t);
   for (const txn::Operation& op : t.ops) {
     if (op.repartition_op_id != 0) continue;
+    const Touched& at = touched_[static_cast<size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), op.key) - keys_.begin())];
+    Vertex& v = *at.vertex;
     if (op.kind == txn::OpKind::kRead) {
-      vertices_[op.key].reads += 1;
+      v.reads += 1;
     } else if (op.kind == txn::OpKind::kWrite) {
-      Vertex& v = vertices_[op.key];
       v.writes += 1;
-      v.write_from[home] += 1;
+      // Supernodes aggregate the cold tail and never shift leaders, so
+      // write attribution stays on exact (hot) vertices only.
+      if (sketch_mode_ && IsSupernode(at.vid)) continue;
+      auto src = std::find_if(
+          v.write_from.begin(), v.write_from.end(),
+          [home](const auto& e) { return e.first == home; });
+      if (src == v.write_from.end()) {
+        v.write_from.emplace_back(home, 1);
+      } else {
+        src->second += 1;
+      }
     }
   }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (size_t j = i + 1; j < keys.size(); ++j) {
-      Vertex& va = vertices_[keys[i]];
-      auto [it, inserted] = va.out.try_emplace(keys[j], 0);
-      it->second += 1;
-      vertices_[keys[j]].out[keys[i]] += 1;
-      if (inserted) ++edge_count_;
-    }
+  if (sketch_mode_) {
+    // Edges among distinct vertex ids (cold keys sharing a supernode
+    // collapse; intra-supernode co-access carries no placement signal).
+    distinct_ = touched_;
+    std::sort(distinct_.begin(), distinct_.end(),
+              [](const Touched& a, const Touched& b) { return a.vid < b.vid; });
+    distinct_.erase(std::unique(distinct_.begin(), distinct_.end(),
+                                [](const Touched& a, const Touched& b) {
+                                  return a.vid == b.vid;
+                                }),
+                    distinct_.end());
+    AddClique(distinct_);
+  } else {
+    AddClique(touched_);  // distinct keys, so distinct vertices
   }
   if (edge_count_ > config_.max_edges) EvictOverCap();
 }
 
-void CoAccessGraph::ObserveSketch(const std::vector<storage::TupleKey>& keys,
-                                  const txn::Transaction& t) {
-  ++txns_observed_;
-  // Feed the sketches first so a key that just crossed into the top-k is
-  // treated as hot within the same transaction.
-  for (storage::TupleKey k : keys) {
-    hot_->Add(k);
-    heat_->Add(k);
-  }
-  // Vertex id per key: hot keys keep themselves, the cold tail folds into
-  // its keyspace-range supernode.
-  std::vector<storage::TupleKey> vids;
-  vids.reserve(keys.size());
-  for (storage::TupleKey k : keys) {
-    vids.push_back(IsHotLocked(k) ? k : SupernodeOf(k));
-  }
-  for (storage::TupleKey vid : vids) vertices_[vid].weight += 1;
-  const uint32_t home = TxnHome(t);
-  for (const txn::Operation& op : t.ops) {
-    if (op.repartition_op_id != 0) continue;
-    const storage::TupleKey vid =
-        IsHotLocked(op.key) ? op.key : SupernodeOf(op.key);
-    if (op.kind == txn::OpKind::kRead) {
-      vertices_[vid].reads += 1;
-    } else if (op.kind == txn::OpKind::kWrite) {
-      Vertex& v = vertices_[vid];
-      v.writes += 1;
-      // Supernodes aggregate the cold tail and never shift leaders, so
-      // write attribution stays on exact (hot) vertices only.
-      if (!IsSupernode(vid)) v.write_from[home] += 1;
-    }
-  }
-  // Edges among distinct vertex ids (cold keys sharing a supernode
-  // collapse; intra-supernode co-access carries no placement signal).
-  std::vector<storage::TupleKey> distinct = vids;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    for (size_t j = i + 1; j < distinct.size(); ++j) {
-      Vertex& va = vertices_[distinct[i]];
-      auto [it, inserted] = va.out.try_emplace(distinct[j], 0);
-      it->second += 1;
-      vertices_[distinct[j]].out[distinct[i]] += 1;
+void CoAccessGraph::AddClique(const std::vector<Touched>& touched) {
+  for (size_t i = 0; i < touched.size(); ++i) {
+    for (size_t j = i + 1; j < touched.size(); ++j) {
+      auto [w, inserted] = touched[i].vertex->out.TryEmplace(touched[j].vid);
+      *w += 1;
+      *touched[j].vertex->out.TryEmplace(touched[i].vid).first += 1;
       if (inserted) ++edge_count_;
     }
   }
-  if (edge_count_ > config_.max_edges) EvictOverCap();
 }
 
 void CoAccessGraph::EraseEdge(storage::TupleKey a, storage::TupleKey b) {
   auto ia = vertices_.find(a);
   auto ib = vertices_.find(b);
-  if (ia != vertices_.end()) ia->second.out.erase(b);
-  if (ib != vertices_.end()) ib->second.out.erase(a);
+  if (ia != vertices_.end()) ia->second.out.Erase(b);
+  if (ib != vertices_.end()) ib->second.out.Erase(a);
   --edge_count_;
 }
 
@@ -174,11 +163,11 @@ void CoAccessGraph::FoldVertex(storage::TupleKey key) {
   if (it == vertices_.end()) return;
   Vertex v = std::move(it->second);
   // Detach all of key's edges first (both directions).
-  for (const auto& [nbr, w] : v.out) {
+  v.out.ForEach([&](storage::TupleKey nbr, uint64_t) {
     auto nb = vertices_.find(nbr);
-    if (nb != vertices_.end()) nb->second.out.erase(key);
+    if (nb != vertices_.end()) nb->second.out.Erase(key);
     --edge_count_;
-  }
+  });
   vertices_.erase(it);
   Vertex& sv = vertices_[sid];
   sv.weight += v.weight;
@@ -186,21 +175,21 @@ void CoAccessGraph::FoldVertex(storage::TupleKey key) {
   sv.writes += v.writes;
   // Re-attach edges to the supernode; edges into the own supernode become
   // internal and vanish.
-  for (const auto& [nbr, w] : v.out) {
-    if (nbr == sid) continue;
+  v.out.ForEach([&](storage::TupleKey nbr, uint64_t w) {
+    if (nbr == sid) return;
     auto nb = vertices_.find(nbr);
-    if (nb == vertices_.end()) continue;
-    auto [e, inserted] = sv.out.try_emplace(nbr, 0);
-    e->second += w;
-    nb->second.out[sid] += w;
+    if (nb == vertices_.end()) return;
+    auto [e, inserted] = sv.out.TryEmplace(nbr);
+    *e += w;
+    *nb->second.out.TryEmplace(sid).first += w;
     if (inserted) ++edge_count_;
-  }
+  });
 }
 
 void CoAccessGraph::FoldColdVertices() {
   std::vector<storage::TupleKey> cold;
   for (const auto& [key, v] : vertices_) {
-    if (!IsSupernode(key) && !IsHotLocked(key)) cold.push_back(key);
+    if (!IsSupernode(key) && !IsHot(key)) cold.push_back(key);
   }
   std::sort(cold.begin(), cold.end());
   for (storage::TupleKey key : cold) FoldVertex(key);
@@ -208,20 +197,19 @@ void CoAccessGraph::FoldColdVertices() {
 
 void CoAccessGraph::Decay() {
   std::vector<std::pair<storage::TupleKey, storage::TupleKey>> dead_edges;
+  const uint32_t shift = config_.decay_shift;
   for (auto& [key, v] : vertices_) {
-    v.weight >>= config_.decay_shift;
-    v.reads >>= config_.decay_shift;
-    v.writes >>= config_.decay_shift;
-    for (auto wit = v.write_from.begin(); wit != v.write_from.end();) {
-      wit->second >>= config_.decay_shift;
-      wit = wit->second == 0 ? v.write_from.erase(wit) : std::next(wit);
-    }
-    for (auto& [nbr, w] : v.out) {
-      w >>= config_.decay_shift;
+    v.weight >>= shift;
+    v.reads >>= shift;
+    v.writes >>= shift;
+    for (auto& [p, c] : v.write_from) c >>= shift;
+    std::erase_if(v.write_from, [](const auto& e) { return e.second == 0; });
+    v.out.ForEach([&](storage::TupleKey nbr, uint64_t& w) {
+      w >>= shift;
       if (w < config_.min_edge_weight && key < nbr) {
         dead_edges.emplace_back(key, nbr);
       }
-    }
+    });
   }
   for (const auto& [a, b] : dead_edges) EraseEdge(a, b);
   // Drop vertices that decayed to nothing and have no edges left.
@@ -262,7 +250,7 @@ std::vector<std::pair<uint32_t, uint64_t>> CoAccessGraph::WriteSources(
   std::vector<std::pair<uint32_t, uint64_t>> out;
   auto it = vertices_.find(key);
   if (it == vertices_.end()) return out;
-  out.assign(it->second.write_from.begin(), it->second.write_from.end());
+  out = it->second.write_from;
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
@@ -280,8 +268,8 @@ uint64_t CoAccessGraph::EdgeWeight(storage::TupleKey a,
                                    storage::TupleKey b) const {
   auto it = vertices_.find(a);
   if (it == vertices_.end()) return 0;
-  auto e = it->second.out.find(b);
-  return e == it->second.out.end() ? 0 : e->second;
+  const uint64_t* w = it->second.out.Find(b);
+  return w == nullptr ? 0 : *w;
 }
 
 size_t CoAccessGraph::ApproxBytes() const {
@@ -290,13 +278,8 @@ size_t CoAccessGraph::ApproxBytes() const {
   bytes += vertices_.bucket_count() * sizeof(void*);
   for (const auto& [key, v] : vertices_) {
     bytes += sizeof(key) + sizeof(Vertex) + kHashNodeOverhead;
-    bytes += v.out.bucket_count() * sizeof(void*);
-    bytes += v.out.size() *
-             (sizeof(storage::TupleKey) + sizeof(uint64_t) +
-              kHashNodeOverhead);
-    bytes += v.write_from.bucket_count() * sizeof(void*);
-    bytes += v.write_from.size() *
-             (sizeof(uint32_t) + sizeof(uint64_t) + kHashNodeOverhead);
+    bytes += v.out.bytes();
+    bytes += v.write_from.capacity() * sizeof(v.write_from[0]);
   }
   if (hot_) bytes += hot_->ApproxBytes();
   if (heat_) bytes += heat_->ApproxBytes();
@@ -315,9 +298,9 @@ std::vector<CoAccessGraph::Edge> CoAccessGraph::SortedEdges() const {
   std::vector<Edge> edges;
   edges.reserve(edge_count_);
   for (const auto& [key, v] : vertices_) {
-    for (const auto& [nbr, w] : v.out) {
+    v.out.ForEach([&](storage::TupleKey nbr, uint64_t w) {
       if (key < nbr) edges.push_back({key, nbr, w});
-    }
+    });
   }
   std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
@@ -331,7 +314,8 @@ CoAccessGraph::NeighborsOf(storage::TupleKey key) const {
   auto it = vertices_.find(key);
   if (it == vertices_.end()) return out;
   out.reserve(it->second.out.size());
-  for (const auto& [nbr, w] : it->second.out) out.emplace_back(nbr, w);
+  it->second.out.ForEach(
+      [&](storage::TupleKey nbr, uint64_t w) { out.emplace_back(nbr, w); });
   std::sort(out.begin(), out.end());
   return out;
 }

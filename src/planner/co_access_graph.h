@@ -14,6 +14,14 @@
 // high id bit), and a count-min sketch answers heat queries for tuples
 // without a vertex. At paper scale (num_keys <= sketch_threshold) the
 // exact path runs unchanged, byte for byte.
+//
+// Representation: vertices live in a node map keyed by id (their
+// addresses stay put while Observe holds them); each vertex's adjacency is
+// a flat open-addressing map (src/common/flat_map.h) and its write sources
+// a short vector of (partition, count) pairs. Observe resolves every key's
+// vertex once into member scratch buffers, so a committed transaction
+// costs one vertex lookup per distinct key plus one adjacency probe per
+// edge direction, with no scratch allocation once the buffers have warmed up.
 
 #ifndef SOAP_PLANNER_CO_ACCESS_GRAPH_H_
 #define SOAP_PLANNER_CO_ACCESS_GRAPH_H_
@@ -22,8 +30,10 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/sketch/count_min.h"
 #include "src/sketch/space_saving.h"
 #include "src/storage/tuple.h"
@@ -145,19 +155,23 @@ class CoAccessGraph {
     uint64_t reads = 0;
     uint64_t writes = 0;
     /// Windowed write counts keyed by the issuing transaction's home
-    /// partition. Tiny in practice (one or two writers per key).
-    std::unordered_map<uint32_t, uint64_t> write_from;
+    /// partition, unordered. Tiny in practice (one or two writers per key).
+    std::vector<std::pair<uint32_t, uint64_t>> write_from;
     /// Adjacency is stored in both directions with equal weights.
-    std::unordered_map<storage::TupleKey, uint64_t> out;
+    FlatMap<uint64_t> out;
+  };
+  /// A vertex id and its vertex, resolved once per Observe.
+  struct Touched {
+    storage::TupleKey vid = 0;
+    Vertex* vertex = nullptr;
   };
 
   void EraseEdge(storage::TupleKey a, storage::TupleKey b);
   void EvictOverCap();
-  /// Sketch-mode Observe body (keys pre-deduped and size-guarded).
-  void ObserveSketch(const std::vector<storage::TupleKey>& keys,
-                     const txn::Transaction& t);
+  /// Adds 1 to the edge between every pair of `touched` (distinct ids).
+  void AddClique(const std::vector<Touched>& touched);
   /// Hot = tracked by the top-k with enough guaranteed count.
-  bool IsHotLocked(storage::TupleKey key) const {
+  bool IsHot(storage::TupleKey key) const {
     return hot_->Contains(key) &&
            hot_->Guaranteed(key) >= config_.hot_min_guarantee;
   }
@@ -173,6 +187,12 @@ class CoAccessGraph {
   std::unordered_map<storage::TupleKey, Vertex> vertices_;
   size_t edge_count_ = 0;  // undirected pairs
   uint64_t txns_observed_ = 0;
+  // Observe's scratch, reused across calls: the txn's distinct data keys
+  // (sorted), each key's vertex (parallel to keys_), and the distinct
+  // vertices sorted by id (sketch mode, where cold keys share supernodes).
+  std::vector<storage::TupleKey> keys_;
+  std::vector<Touched> touched_;
+  std::vector<Touched> distinct_;
 };
 
 }  // namespace soap::planner

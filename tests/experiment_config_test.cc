@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,9 @@ struct RejectCase {
   std::function<void(ExperimentConfig*)> mutate;
   const char* expect_substring;
 };
+
+// Test names print the case name, not the struct's (address-holding) bytes.
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.name; }
 
 class ValidateRejectsTest : public ::testing::TestWithParam<RejectCase> {};
 

@@ -420,6 +420,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         EdgeRejectCase{"negative_replica_budget", "--replica_budget=-1",
                        "--replica_budget must be >= 0"},
+        EdgeRejectCase{"negative_templates", "--templates=-1",
+                       "--templates must be >= 0"},
+        EdgeRejectCase{"negative_keys", "--keys=-1",
+                       "--keys must be >= 0"},
+        EdgeRejectCase{"negative_sketch_threshold", "--sketch_threshold=-1",
+                       "--sketch_threshold must be >= 0"},
+        EdgeRejectCase{"negative_sketch_topk", "--sketch_topk=-1",
+                       "--sketch_topk must be >= 0"},
+        EdgeRejectCase{"negative_warmup", "--warmup=-1",
+                       "--warmup must be >= 0"},
+        EdgeRejectCase{"negative_intervals", "--intervals=-1",
+                       "--intervals must be >= 0"},
+        EdgeRejectCase{"negative_seed", "--seed=-1",
+                       "--seed must be >= 0"},
+        EdgeRejectCase{"negative_trace_sample", "--trace_sample=-1",
+                       "--trace_sample must be >= 0"},
+        EdgeRejectCase{"negative_timeline_interval", "--timeline_interval=-1",
+                       "--timeline_interval must be >= 0"},
+        EdgeRejectCase{"negative_replan", "--replan=-1",
+                       "--replan must be >= 0"},
+        EdgeRejectCase{"negative_plan_ops", "--plan_ops=-1",
+                       "--plan_ops must be >= 0"},
+        EdgeRejectCase{"negative_plan_min_heat", "--plan_min_heat=-1",
+                       "--plan_min_heat must be >= 0"},
+        EdgeRejectCase{"negative_replica_copies", "--replica_copies=-1",
+                       "--replica_copies must be >= 0"},
+        EdgeRejectCase{"negative_drift_phases", "--drift_phases=-1",
+                       "--drift_phases must be >= 0"},
+        EdgeRejectCase{"negative_drift_phase_len", "--drift_phase_len=-1",
+                       "--drift_phase_len must be >= 0"},
         EdgeRejectCase{"evict_near_miss", "--evict=lur",
                        "unknown --evict value 'lur' (did you mean lru?)"},
         EdgeRejectCase{"evict_unknown", "--evict=fifo",
