@@ -15,7 +15,8 @@
 //
 // The JSON suite times the simulator event loop (drain + steady-state),
 // cancel throughput, routing lookups in three table shapes, sketch-mode
-// co-access graph Observe (the planner's per-transaction path), and a
+// co-access graph Observe (the planner's per-transaction path), history
+// recording plus the offline consistency check (--check), and a
 // fast-scale figure panel serially and on min(4, host cores)
 // ParallelRunner threads.
 
@@ -33,6 +34,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/check/checker.h"
+#include "src/check/history_recorder.h"
 #include "src/cluster/processing_queue.h"
 #include "src/common/random.h"
 #include "src/engine/parallel_runner.h"
@@ -342,6 +345,58 @@ double MeasureCoAccessObservePerSec(int reps) {
   return MedianOf(std::move(samples));
 }
 
+/// Consistency-checker throughput (txns/s), median over `reps`: the
+/// HistoryRecorder hooks plus CheckHistory over a seeded synthetic history
+/// of 200k zipf transactions on 500k keys and 5 partitions, each with
+/// three reads and one write, under sparse txn ids. Keys are drawn before
+/// the clock starts; the clock covers recording and the offline check.
+double MeasureCheckHistoryTxnsPerSec(int reps) {
+  constexpr uint64_t kKeys = 500'000;
+  constexpr uint32_t kPartitions = 5;
+  constexpr size_t kReads = 3;
+  constexpr size_t kTxns = 200'000;
+  soap::ZipfSampler zipf(kKeys, 1.0);
+  std::vector<double> samples;
+  for (int rep = 0; rep < reps; ++rep) {
+    Rng rng(211 + rep);
+    std::vector<uint64_t> keys(kTxns * (kReads + 1));
+    for (uint64_t& key : keys) key = zipf.Sample(rng);
+    soap::txn::Transaction txn;
+    txn.ops.resize(kReads + 1);
+    for (size_t j = 0; j < kReads; ++j) {
+      txn.ops[j].kind = soap::txn::OpKind::kRead;
+    }
+    txn.ops[kReads].kind = soap::txn::OpKind::kWrite;
+    soap::storage::Tuple row;
+    const auto t0 = std::chrono::steady_clock::now();
+    soap::check::HistoryRecorder recorder;
+    for (size_t i = 0; i < kTxns; ++i) {
+      txn.id = 3 * i + 1;
+      const soap::SimTime at = static_cast<soap::SimTime>(10 * i);
+      for (size_t j = 0; j <= kReads; ++j) {
+        txn.ops[j].key = keys[i * (kReads + 1) + j];
+      }
+      for (size_t j = 0; j < kReads; ++j) {
+        const uint64_t key = txn.ops[j].key;
+        recorder.OnRead(txn.id, key, key % kPartitions, at);
+      }
+      soap::txn::Operation& write = txn.ops[kReads];
+      write.write_value = static_cast<int64_t>(i);
+      row.key = write.key;
+      row.content = write.write_value;
+      recorder.OnApplyUpdate(write.key % kPartitions, txn.id, row);
+      recorder.OnCommit(txn, at + 5);
+    }
+    const soap::check::CheckReport report =
+        soap::check::CheckHistory(recorder, /*serializable=*/false);
+    samples.push_back(static_cast<double>(kTxns) / SecondsSince(t0));
+    if (!report.ok()) {
+      std::fprintf(stderr, "# check_history: %s\n", report.ToString().c_str());
+    }
+  }
+  return MedianOf(std::move(samples));
+}
+
 /// Fast-scale fig4-style panel (alpha sweep x 5 strategies) wall-clock at
 /// the given thread count. Scale mirrors SOAP_BENCH_FAST without needing
 /// the environment variable.
@@ -384,6 +439,7 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
   const double route_dense_ns =
       MeasureRoutingLookupNs(RoutingShape::kDensePath, 5);
   const double coaccess_per_sec = MeasureCoAccessObservePerSec(5);
+  const double check_per_sec = MeasureCheckHistoryTxnsPerSec(5);
   const double panel_serial_s = MeasurePanelSeconds(1);
   // Panel speedup scales with min(threads, cores); measuring 4 threads on
   // a 1-core host would just report scheduler overhead. Record the host
@@ -415,6 +471,7 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
        << "  \"routing_dense_path_ns\": " << route_dense_ns << ",\n"
        << "  \"coaccess_observe_sketch_per_sec\": " << coaccess_per_sec
        << ",\n"
+       << "  \"check_history_txns_per_sec\": " << check_per_sec << ",\n"
        << "  \"panel_fast_serial_seconds\": " << panel_serial_s << ",\n"
        << "  \"panel_fast_parallel_threads\": " << panel_threads << ",\n"
        << "  \"panel_fast_parallel_seconds\": " << panel_par_s << ",\n"
@@ -455,6 +512,7 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
       {"routing_exception_hit_per_sec", 1e9 / route_exc_ns},
       {"routing_dense_path_per_sec", 1e9 / route_dense_ns},
       {"coaccess_observe_sketch_per_sec", coaccess_per_sec},
+      {"check_history_txns_per_sec", check_per_sec},
   };
   int exit_code = 0;
   for (const Gate& gate : gates) {

@@ -21,6 +21,19 @@
 // timestamp (stale_snapshot_read), all of a transaction's reads share one
 // timestamp (snapshot_fracture), and G1a still holds. Dependency cycles
 // that need an rw edge — write skew — are legal under SI and only counted.
+//
+// Cost. No per-key map is built, and no per-txn map beyond one for chain
+// writers the recorder never saw commit: the chains are laid out once
+// as CSR arrays by chain id, a txn's graph node is its commit sequence
+// number, and a writer's version is a binary search on its commit time
+// in a chain that passed chain_order (a linear scan only in one that
+// failed it). The dependency graph is CSR adjacency; Tarjan runs only
+// when some edge points backward in commit order. Linear in the history
+// apart from one binary search per resolved version.
+//
+// Violation order. Each rule pass reports in a fixed order: chain rules
+// and lost_write in ascending key order, read, snapshot-read and apply
+// rules in record (virtual-time) order, cycles in component order.
 
 #ifndef SOAP_CHECK_CHECKER_H_
 #define SOAP_CHECK_CHECKER_H_

@@ -1,7 +1,8 @@
 // The one open-addressing hash table in the tree: a uint64_t -> Value map
 // stored as one flat array of {key, value} slots, with the hash supplied
 // as a policy. The routing table's exception overlay, the co-access
-// graph's adjacency and the space-saving sketch's key index all use it.
+// graph's adjacency, the space-saving sketch's key index and the
+// consistency checker's history recorder all use it.
 //
 // Layout: power-of-two capacity, linear probing, load factor at most 1/2.
 // A lookup is a hash and a short forward scan; there are no per-entry
@@ -39,6 +40,25 @@ struct Mix64Hash {
     key *= 0xc4ceb9fe1a85ec53ULL;
     key ^= key >> 33;
     return static_cast<size_t>(key >> (64 - log2_capacity));
+  }
+};
+
+/// Hash policy for keys that arrive in runs of consecutive values (bulk
+/// placements, sequentially issued ids): each aligned run of kRunLength
+/// consecutive keys shares one multiplicative hash of the key's high bits
+/// and takes adjacent home slots, so a run touches one or two cache lines,
+/// while strided key sets still spread over the whole table. Needs a
+/// capacity above kRunLength (start the table at 16 slots or more).
+struct RunHash {
+  static constexpr unsigned kRunBits = 3;
+  static constexpr uint64_t kRunLength = uint64_t{1} << kRunBits;
+  static constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+
+  size_t operator()(uint64_t key, unsigned log2_capacity) const {
+    const uint64_t run = (key >> kRunBits) * kGolden;
+    const unsigned run_shift = 64 - (log2_capacity - kRunBits);
+    return static_cast<size_t>(((run >> run_shift) << kRunBits) |
+                               (key & (kRunLength - 1)));
   }
 };
 

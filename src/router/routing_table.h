@@ -22,6 +22,7 @@
 #ifndef SOAP_ROUTER_ROUTING_TABLE_H_
 #define SOAP_ROUTER_ROUTING_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -137,6 +138,31 @@ class RoutingTable {
 
   /// Keys currently carried as point exceptions over the base layer.
   size_t exception_count() const { return exceptions_.size(); }
+
+  /// Visits every base range in key order as fn(start, end, round_robin,
+  /// owner): `owner` is the block's partition, or a round-robin range's
+  /// modulus.
+  template <typename Fn>
+  void ForEachRange(Fn&& fn) const {
+    for (const auto& [start, range] : base_) {
+      fn(start, range.end, range.round_robin,
+         range.round_robin ? range.modulus : range.partition);
+    }
+  }
+
+  /// Visits every point exception as fn(key, primary), in no particular
+  /// order. `fn` must not mutate the table.
+  template <typename Fn>
+  void ForEachException(Fn&& fn) const {
+    exceptions_.ForEach(fn);
+  }
+
+  /// One past the highest partition any placement has ever named: every
+  /// partition at or above it has zero primaries and zero replicas.
+  uint32_t partition_extent() const {
+    return static_cast<uint32_t>(
+        std::max(primaries_count_.size(), replicas_count_.size()));
+  }
 
   /// Rough heap footprint of the table (entries + index overhead), for
   /// scaling reports. Not an allocator-exact byte count.

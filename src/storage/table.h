@@ -60,6 +60,24 @@ class Table {
   /// Materialised rows only (excludes the virtual base), for reports.
   size_t materialized_size() const { return rows_.size(); }
 
+  /// The declared virtual base: keys below num_keys congruent to
+  /// `partition` mod `stride` (meaningful only when lazy()).
+  struct LazyBase {
+    uint64_t num_keys = 0;
+    uint32_t partition = 0;
+    uint32_t stride = 1;
+  };
+  bool lazy() const { return lazy_; }
+  LazyBase lazy_base() const {
+    return {base_num_keys_, base_partition_, base_stride_};
+  }
+
+  /// True while `key` is present only virtually: in the lazy base, never
+  /// materialised and not erased.
+  bool VirtualLive(TupleKey key) const {
+    return InBase(key) && rows_.count(key) == 0 && dead_.count(key) == 0;
+  }
+
   /// Rough heap footprint of the materialised state, for scaling reports.
   size_t ApproxBytes() const {
     constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
@@ -69,6 +87,13 @@ class Table {
            rows_.bucket_count() * sizeof(void*) +
            dead_.size() * (sizeof(TupleKey) + kHashNodeOverhead) +
            dead_.bucket_count() * sizeof(void*);
+  }
+
+  /// Calls `fn(tuple)` for every materialised row (no virtual base rows;
+  /// iteration order unspecified).
+  template <typename Fn>
+  void ForEachMaterialized(Fn&& fn) const {
+    for (const auto& [key, tuple] : rows_) fn(tuple);
   }
 
   /// Calls `fn(tuple)` for every row (iteration order unspecified).
@@ -90,10 +115,6 @@ class Table {
   bool InBase(TupleKey key) const {
     return lazy_ && key < base_num_keys_ &&
            key % base_stride_ == base_partition_;
-  }
-  /// True while `key` is present only virtually.
-  bool VirtualLive(TupleKey key) const {
-    return InBase(key) && rows_.count(key) == 0 && dead_.count(key) == 0;
   }
   static Tuple SynthesizeRow(TupleKey key) {
     Tuple t;

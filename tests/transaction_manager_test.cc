@@ -273,8 +273,8 @@ TEST_F(TmTest, QueueExpiredTransactionsReachTheHistory) {
   }
   sim.Run();
   ASSERT_FALSE(expired.empty());
-  for (txn::TxnId id : expired) EXPECT_EQ(history.aborted().count(id), 1u);
-  EXPECT_EQ(history.aborted().size(), tm.counters().aborted_normal);
+  for (txn::TxnId id : expired) EXPECT_TRUE(history.IsAborted(id));
+  EXPECT_EQ(history.aborted_count(), tm.counters().aborted_normal);
 }
 
 TEST_F(TmTest, WriteConflictSerializesNotAborts) {
