@@ -82,8 +82,9 @@ class StorageEngine {
   /// Virtual size of the last checkpoint (tuples), for reports.
   size_t checkpoint_size() const { return checkpoint_.size(); }
 
-  /// Side-effect-free recovery rehearsal: replays checkpoint + WAL into a
-  /// scratch table and compares it to the live table. A mismatch means a
+  /// Side-effect-free recovery rehearsal: replays the WAL over the
+  /// checkpoint (into an overlay of the keys it touches, by Wal::Replay's
+  /// rules) and compares the result to the live table. A mismatch means a
   /// restart right now would not reproduce the committed state (WAL replay
   /// is not idempotent over this history).
   Status VerifyRecoveryImage() const;

@@ -22,24 +22,8 @@ void Wal::AppendErase(uint64_t txn_id, TupleKey key) {
 }
 
 Status Wal::Replay(Table* table) const {
-  for (const auto& rec : records_) {
-    switch (rec.kind) {
-      case WalRecord::Kind::kInsert:
-      case WalRecord::Kind::kUpdate:
-        table->Upsert(rec.tuple);
-        break;
-      case WalRecord::Kind::kErase: {
-        Status s = table->Erase(rec.tuple.key);
-        // An erase of a missing key means the log and checkpoint diverged.
-        if (!s.ok()) {
-          return Status::Corruption("replay erase of missing key " +
-                                    std::to_string(rec.tuple.key));
-        }
-        break;
-      }
-    }
-  }
-  return Status::OK();
+  return Replay([table](const Tuple& tuple) { table->Upsert(tuple); },
+                [table](TupleKey key) { return table->Erase(key).ok(); });
 }
 
 void Wal::Truncate(size_t keep_last) {

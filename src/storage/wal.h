@@ -42,6 +42,23 @@ class Wal {
   /// against (StorageEngine::RecoverFromWal and CrashAndRecover do).
   Status Replay(Table* table) const;
 
+  /// The replay rules, over any image: inserts and updates call
+  /// `upsert(tuple)`; erases call `erase(key)`, which returns false when
+  /// the key is absent at that point. Such an erase means the log and the
+  /// checkpoint diverged, and stops the replay with a Corruption.
+  template <typename Upsert, typename Erase>
+  Status Replay(Upsert&& upsert, Erase&& erase) const {
+    for (const WalRecord& rec : records_) {
+      if (rec.kind != WalRecord::Kind::kErase) {
+        upsert(rec.tuple);
+      } else if (!erase(rec.tuple.key)) {
+        return Status::Corruption("replay erase of missing key " +
+                                  std::to_string(rec.tuple.key));
+      }
+    }
+    return Status::OK();
+  }
+
   /// Drops records older than `keep_last` entries (log truncation after a
   /// checkpoint). Safe because recovery replays onto the checkpoint
   /// snapshot, never onto an empty table.

@@ -242,5 +242,53 @@ TEST(StorageEngineTest, RepeatedCrashRecoverIdempotent) {
   }
 }
 
+TEST(StorageEngineTest, RehearsalAgreesWithRecoveryOnALazyBase) {
+  // Partition 1 of 4 virtually holds keys 1, 5, 9, ... below 40. The WAL
+  // updates, erases and re-inserts virtual rows past the checkpoint; the
+  // rehearsal and a real crash-and-recover must agree with the live table.
+  StorageEngine engine(1);
+  engine.SetLazyBase(40, 4);
+  ASSERT_TRUE(engine.ApplyErase(1, 5).ok());
+  engine.Checkpoint();  // key 5 is dead in the checkpoint
+  ASSERT_TRUE(engine.ApplyUpdate(2, 9, 90).ok());
+  ASSERT_TRUE(engine.ApplyErase(3, 13).ok());
+  ASSERT_TRUE(engine.ApplyInsert(4, Make(5, 55)).ok());
+  ASSERT_TRUE(engine.ApplyErase(5, 9).ok());
+  ASSERT_TRUE(engine.ApplyInsert(6, Make(9, 99)).ok());
+  EXPECT_TRUE(engine.VerifyRecoveryImage().ok());
+  const size_t live = engine.tuple_count();
+  ASSERT_TRUE(engine.CrashAndRecover().ok());
+  EXPECT_EQ(engine.tuple_count(), live);
+  EXPECT_EQ(engine.Read(5)->content, 55);
+  EXPECT_EQ(engine.Read(9)->content, 99);
+  EXPECT_FALSE(engine.Contains(13));
+}
+
+TEST(StorageEngineTest, RehearsalAndRecoveryRejectTheSameMissingErase) {
+  // Key 3 reaches the live table behind the WAL after the checkpoint, so
+  // the logged erase of it finds nothing to erase on replay.
+  StorageEngine engine(0);
+  engine.Checkpoint();
+  engine.BulkLoad(Make(3, 30));
+  ASSERT_TRUE(engine.ApplyErase(1, 3).ok());
+  Status rehearsal = engine.VerifyRecoveryImage();
+  EXPECT_EQ(rehearsal.code(), StatusCode::kCorruption);
+  Status recovery = engine.CrashAndRecover();
+  EXPECT_EQ(recovery.code(), StatusCode::kCorruption);
+  EXPECT_EQ(rehearsal.ToString(), recovery.ToString());
+}
+
+TEST(StorageEngineTest, RehearsalFlagsAWriteBehindTheWal) {
+  StorageEngine engine(0);
+  engine.BulkLoad(Make(1, 10));
+  engine.Checkpoint();
+  ASSERT_TRUE(engine.ApplyUpdate(1, 1, 11).ok());
+  EXPECT_TRUE(engine.VerifyRecoveryImage().ok());
+  engine.BulkLoad(Make(1, 12));  // content changed behind the WAL
+  EXPECT_EQ(engine.VerifyRecoveryImage().code(), StatusCode::kCorruption);
+  engine.BulkLoad(Make(2, 20));  // a row the WAL never saw
+  EXPECT_EQ(engine.VerifyRecoveryImage().code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace soap::storage
